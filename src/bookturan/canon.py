@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, relabel
+from .graphs import Graph
 
 CanonicalForm = bytes
 
@@ -176,8 +176,3 @@ def dedup_by_isomorphism(graphs: list[Graph]) -> list[Graph]:
         rows, _ = canon_rows(g.rows)
         out.setdefault(pack_rows(rows), Graph(rows))
     return [out[key] for key in sorted(out)]
-
-
-def _check_relabel_consistency(g: Graph) -> bool:  # pragma: no cover - debug aid
-    rows, perm = canon_rows(g.rows)
-    return relabel(g, perm).rows == rows

@@ -24,12 +24,10 @@ limits truncate deterministically; time limits do not.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 from multiprocessing import get_context
-
-import numpy as np
 
 from .canon import canon_rows, dedup_by_isomorphism, pack_rows
 from .checkers import is_nonpartite_book_free, is_r_colorable
@@ -152,6 +150,21 @@ def _adds_book(rows: tuple[int, ...], v: int, r: int, k: int) -> bool:
     return rec(-1, 0, 0)
 
 
+def _extensions(prows: tuple[int, ...], minpop: int,
+                book: tuple[int, int] | None,
+                state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Book-free one-vertex extensions of prows, as (child rows, degree t of
+    the appended vertex), by descending t >= minpop and then lexicographic
+    neighbourhood.  Every neighbourhood tried costs one state tick."""
+    n = len(prows)
+    for t in range(n, max(minpop, 0) - 1, -1):
+        for comb in combinations(range(n), t):
+            state.tick()
+            crows = _child_rows(prows, comb)
+            if book is None or not _adds_book(crows, n, *book):
+                yield crows, t
+
+
 def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
               state: _State) -> list[tuple[tuple[int, ...], int]]:
     """Accepted canonical-augmentation children of one parent class.
@@ -163,22 +176,31 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     n = len(prows)
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
-    for t in range(n, max(minpop, 0) - 1, -1):
-        for comb in combinations(range(n), t):
-            state.tick()
-            crows = _child_rows(prows, comb)
-            if book is not None and _adds_book(crows, n, *book):
-                continue
-            ckey, _ = canon_rows(crows)
-            if ckey in seen:
-                continue
-            seen.add(ckey)
-            # delete the vertex at the last canonical position; accept the
-            # child iff that recovers the generating parent class
-            deleted = tuple(row & ~(1 << n) for row in ckey[:n])
-            if canon_rows(deleted)[0] == prows:
-                out.append((ckey, t))
+    for crows, t in _extensions(prows, minpop, book, state):
+        ckey, _ = canon_rows(crows)
+        if ckey in seen:
+            continue
+        seen.add(ckey)
+        # delete the vertex at the last canonical position; accept the
+        # child iff that recovers the generating parent class
+        deleted = tuple(row & ~(1 << n) for row in ckey[:n])
+        if canon_rows(deleted)[0] == prows:
+            out.append((ckey, t))
     return out
+
+
+def _levels(order: int, book: tuple[int, int] | None, state: _State,
+            floor: list[int] | None = None) -> list[tuple[tuple[int, ...], int]]:
+    """(canonical rows, edge count) of every book-free class of the given
+    order (at least 1), generated level by level.  With floor, a class of
+    order j is only grown from a parent with e edges by a vertex of degree
+    at least floor[j] - e."""
+    level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
+    for j in range(2, order + 1):
+        level = [(crows, e + t) for prows, e in level
+                 for crows, t in _children(
+                     prows, 0 if floor is None else floor[j] - e, book, state)]
+    return level
 
 
 def generate_graphs(n: int, book: tuple[int, int] | None = None,
@@ -192,13 +214,7 @@ def generate_graphs(n: int, book: tuple[int, int] | None = None,
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
     state = _State(budget.node_limit, deadline)
-    level: list[tuple[int, ...]] = [(0,)]
-    for _ in range(2, n + 1):
-        nxt: list[tuple[int, ...]] = []
-        for prows in level:
-            nxt.extend(c for c, _ in _children(prows, 0, book, state))
-        level = nxt
-    return [Graph(rows) for rows in level]
+    return [Graph(rows) for rows, _ in _levels(n, book, state)]
 
 
 def enumerate_extremal(params: CaseParams,
@@ -216,26 +232,19 @@ def enumerate_extremal(params: CaseParams,
     best: int | None = None
     winners: dict[bytes, Graph] = {}
     try:
-        level: list[tuple[int, ...]] = [(0,)]
-        for _ in range(2, n + 1):
-            nxt: list[tuple[int, ...]] = []
-            for prows in level:
-                nxt.extend(c for c, _ in _children(prows, 0, (r, k), state))
-            level = nxt
-        for rows in level:
-            e = sum(row.bit_count() for row in rows) // 2
-            if best is not None and e < best:
-                continue
-            if is_r_colorable(Graph(rows), r) is not None:
-                continue
-            if best is None or e > best:
-                best = e
-                winners = {}
-            winners[pack_rows(rows)] = Graph(rows)
+        level = _levels(n, (r, k), state)
     except BudgetExceeded:
         exhaustive = False
-        best = None
-        winners = {}
+        level = []
+    for rows, e in level:
+        if best is not None and e < best:
+            continue
+        if is_r_colorable(Graph(rows), r) is not None:
+            continue
+        if best is None or e > best:
+            best = e
+            winners = {}
+        winners[pack_rows(rows)] = Graph(rows)
     extremal = tuple(winners[key] for key in sorted(winners))
     return ExtremalReport(params=params, method="enumeration", optimum=best,
                           extremal=extremal, exhaustive=exhaustive,
@@ -264,25 +273,19 @@ def _bb_unit(args) -> tuple[int | None, dict[bytes, tuple[int, tuple[int, ...]]]
 
     def leaf_level(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
-        j = len(prows)
         minpop = 0
         if edge_bound and local_inc is not None:
             minpop = local_inc - e
-        for t in range(j, max(minpop, 0) - 1, -1):
-            for comb in combinations(range(j), t):
-                state.tick()
-                crows = _child_rows(prows, comb)
-                if _adds_book(crows, j, r, k):
-                    continue
-                ce = e + t
-                if local_inc is not None and ce < local_inc:
-                    continue
-                if is_r_colorable(Graph(crows), r) is not None:
-                    continue
-                if local_inc is None or ce > local_inc:
-                    local_inc = ce
-                ckey, _ = canon_rows(crows)
-                found[pack_rows(ckey)] = (ce, ckey)
+        for crows, t in _extensions(prows, minpop, (r, k), state):
+            ce = e + t
+            if local_inc is not None and ce < local_inc:
+                continue
+            if is_r_colorable(Graph(crows), r) is not None:
+                continue
+            if local_inc is None or ce > local_inc:
+                local_inc = ce
+            ckey, _ = canon_rows(crows)
+            found[pack_rows(ckey)] = (ce, ckey)
 
     def dfs(prows: tuple[int, ...], e: int) -> None:
         j = len(prows)
@@ -340,20 +343,14 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     caps = [j * (n - j) + _future_cap(n - j, r + k - 1) for j in range(n + 1)]
 
     # generate work units: all surviving classes at the split depth
-    depth = max(2, min(n - 3, n - 1))
+    depth = max(2, n - 3)
     state = _State(budget.node_limit, deadline)
-    prefix_ok = True
-    level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
+    floor = None
+    if edge_bound and inc0 is not None:
+        floor = [inc0 - cap for cap in caps]
     try:
-        for order in range(2, depth + 1):
-            nxt: list[tuple[tuple[int, ...], int]] = []
-            for prows, e in level:
-                minpop = 0
-                if edge_bound and inc0 is not None:
-                    minpop = inc0 - e - caps[order]
-                for crows, t in _children(prows, minpop, (r, k), state):
-                    nxt.append((crows, e + t))
-            level = nxt
+        level = _levels(depth, (r, k), state, floor)
+        prefix_ok = True
     except BudgetExceeded:
         prefix_ok = False
         level = []
@@ -388,46 +385,34 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Maximum edge count over pentagon blow-ups with positive parts summing
     to m, together with every maximizing profile up to dihedral symmetry.
 
-    Exhaustive: with (n1, n2, n3) fixed, the edge count is a concave integer
-    parabola in n4, so its maximum sits at the clipped vertex and every tying
-    n4 is an integer root of value == best.
+    Exhaustive: with (n1, n2, n3) = (a, b, c) fixed and w = n4 + n5, the
+    edge count is the concave integer parabola const + lin * t - t * t in
+    t = n4 on 1 <= t <= w - 1, so every maximizing t is the clipped vertex
+    clip(lin // 2, 1, w - 1) or the next integer.
     """
     if m < 5:
         raise ValueError(f"blow-up needs at least 5 vertices, got {m}")
     cached = _BLOWUP_OPT.get(m)
     if cached is not None:
         return cached
-    rng = np.arange(1, m - 3, dtype=np.int64)
-    n1 = rng[:, None, None]
-    n2 = rng[None, :, None]
-    n3 = rng[None, None, :]
-    rem = m - n1 - n2 - n3
-    lin = n3 - n1 + rem
-    base = n1 * n2 + n2 * n3 + n1 * rem
-    hi = np.maximum(rem - 1, 1)
-    t1 = np.clip(lin // 2, 1, hi)
-    t2 = np.clip((lin + 1) // 2, 1, hi)
-    val = np.maximum(base + lin * t1 - t1 * t1, base + lin * t2 - t2 * t2)
-    val = np.where(rem >= 2, val, -1)
-    best = int(val.max())
-    profiles: set[tuple[int, ...]] = set()
-    for i, j, l in np.argwhere(val == best):
-        a, b, c = int(rng[i]), int(rng[j]), int(rng[l])
-        w = m - a - b - c
-        linear = c - a + w
-        const = a * b + b * c + a * w
-        disc = linear * linear - 4 * (best - const)
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc:
-            continue
-        for num in (linear + root, linear - root):
-            if num % 2:
-                continue
-            t = num // 2
-            if 1 <= t <= w - 1 and const + linear * t - t * t == best:
-                profiles.add(dihedral_profile((a, b, c, t, w - t)))
+    best = -1
+    winners: list[tuple[int, ...]] = []
+    for a in range(1, m - 3):
+        for b in range(1, m - a - 2):
+            for c in range(1, m - a - b - 1):
+                w = m - a - b - c
+                lin = c - a + w
+                const = a * b + b * c + a * w
+                t0 = min(max(lin // 2, 1), w - 1)
+                for t in (t0, t0 + 1):
+                    val = const + lin * t - t * t
+                    if t >= w or val < best:
+                        continue
+                    if val > best:
+                        best = val
+                        winners = []
+                    winners.append((a, b, c, t, w - t))
+    profiles = {dihedral_profile(prof) for prof in winners}
     result = (best, tuple(sorted(profiles)))
     _BLOWUP_OPT[m] = result
     return result

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bookturan
 from bookturan.checkers import is_nonpartite_book_free
 from bookturan.cli import main
 from bookturan.graph6 import decode_graph6, encode_graph6
@@ -200,3 +205,11 @@ def test_identical_invocations_are_byte_identical(capsys):
     a = run_cli(capsys, "construct", "--family", "g2", "--n", "15", "--r", "3")
     b = run_cli(capsys, "construct", "--family", "g2", "--n", "15", "--r", "3")
     assert a == b
+
+
+def test_cli_import_does_not_load_numpy():
+    # a fresh interpreter: networkx may already have loaded numpy in this one
+    src = os.path.dirname(os.path.dirname(bookturan.__file__))
+    probe = "import sys, bookturan.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

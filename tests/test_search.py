@@ -61,7 +61,7 @@ def test_enumerate_budget_truncation_is_honest():
 
 
 def test_bb_agrees_with_enumeration():
-    for n in (6, 7, 8):
+    for n in (4, 5, 6, 7, 8):
         for k in (1, 2):
             params = CaseParams(n, 3, k)
             enum = enumerate_extremal(params)
@@ -134,7 +134,7 @@ def test_family_optimizer_examples():
 
 
 def test_family_optimizer_blowup_sweep_matches_brute_force():
-    # cross-check the vectorized profile optimizer against plain iteration
+    # cross-check the parabola-vertex profile optimizer against plain iteration
     from itertools import product
     from bookturan.constructions import blowup_edge_count, dihedral_profile
     from bookturan.search import _blowup_optimum
@@ -208,3 +208,11 @@ def test_report_line_shape():
     for key in ("n=", "r=", "k=", "q=", "p=", "method=", "optimum=",
                 "classes=", "nodes=", "exhaustive="):
         assert key in line
+    # exact lines, nodes= included: generation changes must keep these bytes
+    # unless a new pruning rule changes the node count on purpose
+    assert enumerate_extremal(CaseParams(7, 3, 1)).format_line() == (
+        "n=7 r=3 k=1 q=2 p=1 method=enumeration optimum=15 classes=1"
+        " nodes=8810 exhaustive=true")
+    assert branch_bound_extremal(CaseParams(9, 3, 2)).format_line() == (
+        "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
+        " nodes=21498 exhaustive=true")
