@@ -27,9 +27,6 @@ class ColoringWitness:
 
     classes: tuple[int, ...]
 
-    def color_count(self) -> int:
-        return max(self.classes) + 1 if self.classes else 0
-
 
 def greedy_clique(g: Graph) -> list[int]:
     """Deterministic greedy clique (max degree first, ties by label)."""

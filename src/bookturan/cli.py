@@ -142,7 +142,7 @@ def _format_vertex_set(vs) -> str:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, "r", encoding="ascii") as fh:
+        with open(args.input, "rb") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DomainError(f"cannot read {args.input}: {exc}") from None

@@ -2,9 +2,10 @@
 three extremal join families, generalized books, and the near-complete
 multipartite graphs obtained by shifting one edge inside a part.
 
-Family enumerators return one canonical representative per isomorphism class
-by default (the parameter ranges contain rotations/reflections of the same
-blow-up); pass dedup=False to get the raw parameterized members.
+Family builders return the raw parameterized members.  The parameter ranges
+contain rotations and reflections of the same blow-up, so callers that need
+one canonical representative per isomorphism class reduce the members with
+dedup_by_isomorphism, as extremal_family_graphs does.
 """
 
 from __future__ import annotations
@@ -91,33 +92,28 @@ def dihedral_profile(profile: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def _family(graphs: list[Graph], dedup: bool) -> list[Graph]:
-    return dedup_by_isomorphism(graphs) if dedup else graphs
-
-
-def family_c5_1(n: int, dedup: bool = True) -> list[Graph]:
+def family_c5_1(n: int) -> list[Graph]:
     """Blow-ups C5[n/2-2, t, 1, 1, n/2-t] for 1 <= t <= n/2-1 (even n >= 6)."""
     if n % 2 or n < 6:
         raise ValueError(f"family C5^1 needs even n >= 6, got {n}")
     h = n // 2
-    return _family([c5_blowup((h - 2, t, 1, 1, h - t)) for t in range(1, h)], dedup)
+    return [c5_blowup((h - 2, t, 1, 1, h - t)) for t in range(1, h)]
 
 
-def family_c5_2(n: int, dedup: bool = True) -> list[Graph]:
+def family_c5_2(n: int) -> list[Graph]:
     """Blow-ups C5[n/2-1, t, 1, 1, n/2-t-1] for 1 <= t <= n/2-2 (even n >= 6)."""
     if n % 2 or n < 6:
         raise ValueError(f"family C5^2 needs even n >= 6, got {n}")
     h = n // 2
-    return _family([c5_blowup((h - 1, t, 1, 1, h - t - 1)) for t in range(1, h - 1)],
-                   dedup)
+    return [c5_blowup((h - 1, t, 1, 1, h - t - 1)) for t in range(1, h - 1)]
 
 
-def family_c5_3(n: int, dedup: bool = True) -> list[Graph]:
+def family_c5_3(n: int) -> list[Graph]:
     """Blow-ups C5[(n-1)/2-1, t, 1, 1, (n-1)/2-t] for 1 <= t <= (n-1)/2-1 (odd n >= 5)."""
     if n % 2 == 0 or n < 5:
         raise ValueError(f"family C5^3 needs odd n >= 5, got {n}")
     h = (n - 1) // 2
-    return _family([c5_blowup((h - 1, t, 1, 1, h - t)) for t in range(1, h)], dedup)
+    return [c5_blowup((h - 1, t, 1, 1, h - t)) for t in range(1, h)]
 
 
 def _join_turan(cores: list[Graph], m: int, r: int) -> list[Graph]:
@@ -128,29 +124,28 @@ def _join_turan(cores: list[Graph], m: int, r: int) -> list[Graph]:
     return [join(core, rest) for core in cores]
 
 
-def family_g1(params: CaseParams, dedup: bool = True) -> list[Graph]:
+def family_g1(params: CaseParams) -> list[Graph]:
     """Members F v T_{r-2}(q(r-2)+p+1) with F from the odd family on 2q-1 vertices."""
     q, r, p = params.q, params.r, params.p
     if 2 * q - 1 < 5:
         raise ValueError(
             f"family G1 needs q >= 3 so the odd blow-up family on 2q-1 >= 5"
             f" vertices exists; got q={q}")
-    cores = family_c5_3(2 * q - 1, dedup=False)
-    return _family(_join_turan(cores, q * (r - 2) + p + 1, r), dedup)
+    return _join_turan(family_c5_3(2 * q - 1), q * (r - 2) + p + 1, r)
 
 
-def family_g2(params: CaseParams, dedup: bool = True) -> list[Graph]:
+def family_g2(params: CaseParams) -> list[Graph]:
     """Members F v T_{r-2}(q(r-2)+p) with F from the even families on 2q vertices."""
     q, r, p = params.q, params.r, params.p
     if 2 * q < 6:
         raise ValueError(
             f"family G2 needs q >= 3 so the even blow-up families on 2q >= 6"
             f" vertices exist; got q={q}")
-    cores = family_c5_1(2 * q, dedup=False) + family_c5_2(2 * q, dedup=False)
-    return _family(_join_turan(cores, q * (r - 2) + p, r), dedup)
+    cores = family_c5_1(2 * q) + family_c5_2(2 * q)
+    return _join_turan(cores, q * (r - 2) + p, r)
 
 
-def family_g3(params: CaseParams, dedup: bool = True) -> list[Graph]:
+def family_g3(params: CaseParams) -> list[Graph]:
     """Members F v T_{r-2}(q(r-2)+p-1) with F from the odd family on 2q+1 vertices."""
     q, r, p = params.q, params.r, params.p
     if 2 * q + 1 < 5:
@@ -159,16 +154,15 @@ def family_g3(params: CaseParams, dedup: bool = True) -> list[Graph]:
             f" vertices exists; got q={q}")
     if q * (r - 2) + p - 1 < 0:
         raise ValueError(f"family G3 join part would be negative at {params}")
-    cores = family_c5_3(2 * q + 1, dedup=False)
-    return _family(_join_turan(cores, q * (r - 2) + p - 1, r), dedup)
+    return _join_turan(family_c5_3(2 * q + 1), q * (r - 2) + p - 1, r)
 
 
-def family_c5_join(params: CaseParams, dedup: bool = True) -> list[Graph]:
+def family_c5_join(params: CaseParams) -> list[Graph]:
     """The single small-quotient extremal graph C5 v T_{r-2}(n-5)."""
     n, r = params.n, params.r
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    return _family(_join_turan([c5_blowup((1, 1, 1, 1, 1))], n - 5, r), dedup)
+    return _join_turan([c5_blowup((1, 1, 1, 1, 1))], n - 5, r)
 
 
 _FAMILY_BUILDERS = {
@@ -184,7 +178,7 @@ def extremal_family_graphs(params: CaseParams, mode: str = "theorem1") -> list[G
     case = extremal_case(params, mode)
     members: list[Graph] = []
     for tag in case.families:
-        members.extend(_FAMILY_BUILDERS[tag](params, dedup=False))
+        members.extend(_FAMILY_BUILDERS[tag](params))
     return dedup_by_isomorphism(members)
 
 

@@ -94,14 +94,13 @@ class ExtremalReport:
     extremal: tuple[Graph, ...]
     exhaustive: bool
     nodes: int
-    wall_time: float
 
     @property
     def extremal_canon(self) -> frozenset[bytes]:
         return frozenset(pack_rows(g.rows) for g in self.extremal)
 
     def format_line(self) -> str:
-        """Deterministic report record (wall time deliberately excluded)."""
+        """Deterministic report record: equal reports give equal lines."""
         p = self.params
         opt = str(self.optimum) if self.optimum is not None else "none"
         return (f"n={p.n} r={p.r} k={p.k} q={p.q} p={p.p}"
@@ -203,18 +202,14 @@ def _levels(order: int, book: tuple[int, int] | None, state: _State,
     return level
 
 
-def generate_graphs(n: int, book: tuple[int, int] | None = None,
-                    budget: SearchBudget | None = None) -> list[Graph]:
+def generate_graphs(n: int, book: tuple[int, int] | None = None) -> list[Graph]:
     """All isomorphism classes of order n (book-free classes if book given),
     one canonical representative each."""
     if n < 0:
         raise ValueError("order must be non-negative")
     if n == 0:
         return [Graph(())]
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
-    state = _State(budget.node_limit, deadline)
-    return [Graph(rows) for rows, _ in _levels(n, book, state)]
+    return [Graph(rows) for rows, _ in _levels(n, book, _State(None, None))]
 
 
 def enumerate_extremal(params: CaseParams,
@@ -225,8 +220,7 @@ def enumerate_extremal(params: CaseParams,
     budget.workers is ignored."""
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
-    t0 = time.monotonic()
-    deadline = t0 + budget.time_limit if budget.time_limit else None
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
     state = _State(budget.node_limit, deadline)
     exhaustive = True
     best: int | None = None
@@ -248,7 +242,7 @@ def enumerate_extremal(params: CaseParams,
     extremal = tuple(winners[key] for key in sorted(winners))
     return ExtremalReport(params=params, method="enumeration", optimum=best,
                           extremal=extremal, exhaustive=exhaustive,
-                          nodes=state.nodes, wall_time=time.monotonic() - t0)
+                          nodes=state.nodes)
 
 
 def _future_cap(m: int, parts: int) -> int:
@@ -271,11 +265,17 @@ def _bb_unit(args) -> tuple[int | None, dict[bytes, tuple[int, tuple[int, ...]]]
     found: dict[bytes, tuple[int, tuple[int, ...]]] = {}
     completed = True
 
-    def leaf_level(prows: tuple[int, ...], e: int) -> None:
+    def dfs(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
+        j = len(prows)
         minpop = 0
         if edge_bound and local_inc is not None:
-            minpop = local_inc - e
+            # at the leaf level caps[n] == 0, so this is local_inc - e there
+            minpop = local_inc - e - caps[j + 1]
+        if j < n - 1:
+            for crows, t in _children(prows, minpop, (r, k), state):
+                dfs(crows, e + t)
+            return
         for crows, t in _extensions(prows, minpop, (r, k), state):
             ce = e + t
             if local_inc is not None and ce < local_inc:
@@ -286,17 +286,6 @@ def _bb_unit(args) -> tuple[int | None, dict[bytes, tuple[int, tuple[int, ...]]]
                 local_inc = ce
             ckey, _ = canon_rows(crows)
             found[pack_rows(ckey)] = (ce, ckey)
-
-    def dfs(prows: tuple[int, ...], e: int) -> None:
-        j = len(prows)
-        if j == n - 1:
-            leaf_level(prows, e)
-            return
-        minpop = 0
-        if edge_bound and local_inc is not None:
-            minpop = local_inc - e - caps[j + 1]
-        for crows, t in _children(prows, minpop, (r, k), state):
-            dfs(crows, e + t)
 
     assert len(rows) < n, "work units must sit below the target order"
     try:
@@ -323,8 +312,7 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     """
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
-    t0 = time.monotonic()
-    deadline = t0 + budget.time_limit if budget.time_limit else None
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
 
     seeds: list[Graph] = []
     if params.in_closed_form_range:
@@ -332,13 +320,9 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
                  if is_nonpartite_book_free(g, r, k)]
     inc0 = max((g.edge_count() for g in seeds), default=None)
 
-    def report(opt, extremal, exhaustive, nodes):
-        return ExtremalReport(params=params, method="branch_bound", optimum=opt,
-                              extremal=extremal, exhaustive=exhaustive,
-                              nodes=nodes, wall_time=time.monotonic() - t0)
-
     if n <= r:  # every graph this small is r-colorable: nothing is feasible
-        return report(None, (), True, 0)
+        return ExtremalReport(params=params, method="branch_bound", optimum=None,
+                              extremal=(), exhaustive=True, nodes=0)
 
     caps = [j * (n - j) + _future_cap(n - j, r + k - 1) for j in range(n + 1)]
 
@@ -375,7 +359,8 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     best = max((v[0] for v in candidates.values()), default=None)
     extremal = tuple(Graph(v[1]) for key, v in sorted(candidates.items())
                      if v[0] == best)
-    return report(best, extremal, exhaustive, nodes)
+    return ExtremalReport(params=params, method="branch_bound", optimum=best,
+                          extremal=extremal, exhaustive=exhaustive, nodes=nodes)
 
 
 _BLOWUP_OPT: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
@@ -449,7 +434,6 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
         raise ValueError(f"need r >= 3, got {r}")
     if n < r + 3:
         raise ValueError(f"need n >= r + 3, got n={n}, r={r}")
-    t0 = time.monotonic()
     per_m: dict[int, tuple[int, tuple[tuple[int, ...], ...],
                            tuple[tuple[int, ...], ...]]] = {}
     best_total: int | None = None
@@ -478,8 +462,7 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
     extremal = tuple(dedup_by_isomorphism(graphs))
     return ExtremalReport(params=CaseParams(n, r), method="family_optimizer",
                           optimum=best_total, extremal=extremal,
-                          exhaustive=False, nodes=0,
-                          wall_time=time.monotonic() - t0)
+                          exhaustive=False, nodes=0)
 
 
 @dataclass(frozen=True)
@@ -496,9 +479,11 @@ class VerifyRecord:
     oracle: int | None      # None: oracle ran, feasible set empty
     oracle_ran: bool
     exhaustive: bool | None  # None: no oracle ran
-    verdict: str            # AGREE | LOWER_BOUND_ONLY | DISAGREE
+    verdict: str            # AGREE | DISAGREE
 
     def format_line(self) -> str:
+        """Deterministic table row; oracle=- exhaustive=- when no oracle ran
+        (n > 8), oracle=none when it ran and found no feasible graph."""
         if self.oracle_ran:
             oracle = str(self.oracle) if self.oracle is not None else "none"
             exhaustive = str(bool(self.exhaustive)).lower()
@@ -512,21 +497,18 @@ class VerifyRecord:
 
 
 def verify_theorem(r: int, k: int, n_from: int, n_to: int,
-                   mode: str = "theorem1", oracle: str = "auto",
-                   budget: SearchBudget | None = None) -> list[VerifyRecord]:
-    """Compare formula, family optimizer, named families and (optionally) a
-    search oracle for each n in the range.
+                   mode: str = "theorem1") -> list[VerifyRecord]:
+    """Compare formula, family optimizer, named families and, for n <= 8,
+    the exhaustive enumeration oracle for each n in the range.
 
     Disagreements are recorded, never raised: below the asymptotic regime
     the closed form is not guaranteed, and the whole point of the harness is
-    to report what actually holds there.  oracle: "auto" enumerates
-    exhaustively for n <= 8 and skips the search above; "enumerate", "bb"
-    force a method; "none" skips it.
+    to report what actually holds there.  Above n = 8 no oracle runs, and
+    the verdict compares the formula with the family optimizer and the
+    named families only.
     """
     if n_from > n_to:
         raise ValueError("empty verification range")
-    if oracle not in ("auto", "enumerate", "bb", "none"):
-        raise ValueError(f"unknown oracle policy {oracle!r}")
     records = []
     for n in range(n_from, n_to + 1):
         params = CaseParams(n, r, k)
@@ -537,25 +519,11 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         consistent = (formula == fam.optimum
                       and fam.extremal_canon == pred_canon)
 
-        method = oracle
-        if oracle == "auto":
-            method = "enumerate" if n <= 8 else "none"
-        rep: ExtremalReport | None = None
-        if method == "enumerate":
-            rep = enumerate_extremal(params, budget)
-        elif method == "bb":
-            rep = branch_bound_extremal(params, budget)
-
-        if rep is None:
-            verdict = "AGREE" if consistent else "DISAGREE"
-        elif rep.exhaustive:
-            ok = (consistent and rep.optimum == formula
-                  and rep.extremal_canon == pred_canon)
-            verdict = "AGREE" if ok else "DISAGREE"
-        elif rep.optimum is not None and rep.optimum > formula:
-            verdict = "DISAGREE"  # a feasible graph beats the claimed optimum
-        else:
-            verdict = "LOWER_BOUND_ONLY" if consistent else "DISAGREE"
+        # unbudgeted enumeration always finishes, so its report is exhaustive
+        rep = enumerate_extremal(params) if n <= 8 else None
+        ok = consistent and (rep is None or (
+            rep.optimum == formula and rep.extremal_canon == pred_canon))
+        verdict = "AGREE" if ok else "DISAGREE"
 
         records.append(VerifyRecord(
             n=n, r=r, k=k, q=params.q, p=params.p, formula=formula,

@@ -140,6 +140,12 @@ def test_check_malformed_line_reports_line_number(tmp_path, capsys):
                            "--r", "3", "--k", "1")
     assert code == 1
     assert "line 2" in err
+    # a non-ASCII byte is reported on its own line, not for the whole file
+    path.write_bytes(b"A_\nD\xffw\n")
+    code, _, err = run_cli(capsys, "check", "--input", str(path),
+                           "--r", "3", "--k", "1")
+    assert code == 1
+    assert err == "error: line 2: non-ASCII byte at offset 1\n"
 
 
 def test_search_enumerate(capsys):
@@ -177,13 +183,20 @@ def test_search_workers_byte_identical(capsys):
 
 def test_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--r", "3", "--k", "1",
-                           "--n-from", "7", "--n-to", "8",
+                           "--n-from", "6", "--n-to", "9",
                            "--mode", "theorem14")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert all("verdict=AGREE" in line for line in lines)
-    assert "formula=15" in lines[0] and "formula=20" in lines[1]
+    # the enumeration oracle runs for n <= 8; n = 6 is a recorded finding
+    assert out.splitlines() == [
+        "n=6 r=3 k=1 q=2 p=0 formula=11 family_opt=10 oracle=10"
+        " exhaustive=true verdict=DISAGREE",
+        "n=7 r=3 k=1 q=2 p=1 formula=15 family_opt=15 oracle=15"
+        " exhaustive=true verdict=AGREE",
+        "n=8 r=3 k=1 q=2 p=2 formula=20 family_opt=20 oracle=20"
+        " exhaustive=true verdict=AGREE",
+        "n=9 r=3 k=1 q=3 p=0 formula=25 family_opt=25 oracle=-"
+        " exhaustive=- verdict=AGREE",
+    ]
 
 
 def test_verify_strict_flags_disagreement(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bookturan.canon import canonical_form, is_isomorphic
+from bookturan.canon import dedup_by_isomorphism, is_isomorphic
 from bookturan.checkers import chromatic_number, contains_clique
 from bookturan.constructions import (blowup_edge_count, c5_blowup,
                                      complete_multipartite, dihedral_profile,
@@ -71,11 +71,13 @@ def test_blowup_dihedral_invariance():
 def test_c5_families():
     assert len(family_c5_3(5)) == 1
     assert is_isomorphic(family_c5_3(5)[0], c5_blowup((1, 1, 1, 1, 1)))
-    raw = family_c5_1(8, dedup=False)
+    raw = family_c5_1(8)
     assert len(raw) == 3 and all(g.edge_count() == 13 for g in raw)
-    assert len(family_c5_1(8)) == 2  # t=1 and t=3 are reflections
-    assert len(family_c5_3(7)) == 1  # the two raw members are rotations
-    assert len(family_c5_2(8, dedup=False)) == 2
+    # t=1 and t=3 are reflections
+    assert len(dedup_by_isomorphism(family_c5_1(8))) == 2
+    # the two raw members are rotations
+    assert len(dedup_by_isomorphism(family_c5_3(7))) == 1
+    assert len(family_c5_2(8)) == 2
     for bad in (7, 4):
         with pytest.raises(ValueError):
             family_c5_1(bad)
@@ -88,7 +90,7 @@ def test_c5_families():
 
 
 def test_g_families_examples():
-    g3 = family_g3(CaseParams(11, 3))
+    g3 = dedup_by_isomorphism(family_g3(CaseParams(11, 3)))
     assert len(g3) == 1 and g3[0].edge_count() == 38
     assert is_isomorphic(g3[0], join(c5_blowup((2, 1, 1, 1, 2)), empty_graph(4)))
 
@@ -175,11 +177,3 @@ def test_near_complete_ks_exhaustive_small_parts():
             core = c5_blowup((parts[0] - 2, s, 1, 1, parts[1] - s))
             expect = join(core, complete_multipartite(parts[2:]))
             assert is_isomorphic(g, expect), (parts, s)
-
-
-def test_family_dedup_flag_preserves_raw_members():
-    params = CaseParams(15, 3)
-    raw = family_g2(params, dedup=False)
-    deduped = family_g2(params)
-    assert len(raw) >= len(deduped)
-    assert {canonical_form(g) for g in raw} == {canonical_form(g) for g in deduped}

@@ -1,0 +1,43 @@
+"""Every module uses each name it imports (a stdlib stand-in for a linter).
+
+The package's ``__init__.py`` is skipped: its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "bookturan").glob("*.py")
+                 if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no other node reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in
+            sorted(imported.items(), key=lambda item: item[1])
+            if name not in used]
+
+
+def test_checker_flags_only_unused_names():
+    source = ("from __future__ import annotations\nimport os\n"
+              "import os.path as osp\nfrom a import (b, c as d)\nos.sep\nd()\n")
+    assert unused_imports(source) == ["line 3: osp", "line 4: b"]
+
+
+def test_sources_use_every_import():
+    assert MODULES and TESTS
+    found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
+             for p in MODULES + TESTS}
+    assert {path: names for path, names in found.items() if names} == {}

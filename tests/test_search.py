@@ -105,12 +105,8 @@ def test_bb_deterministic_across_workers():
     params = CaseParams(7, 3, 1)
     reports = [branch_bound_extremal(params, SearchBudget(workers=w))
                for w in (1, 2, 4)]
-    lines = {rep.format_line() for rep in reports}
-    assert len(lines) == 1
-    canons = {rep.extremal_canon for rep in reports}
-    assert len(canons) == 1
-    nodes = {rep.nodes for rep in reports}
-    assert len(nodes) == 1
+    # equal values: same line, extremal order, canonical set and node count
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_family_optimizer_examples():
@@ -177,7 +173,7 @@ def test_verify_boundary_row_recorded_not_hidden():
 
 
 def test_verify_family_optimizer_only_rows():
-    rows = verify_theorem(4, 1, 40, 44, mode="theorem1", oracle="none")
+    rows = verify_theorem(4, 1, 40, 44, mode="theorem1")
     assert all(r.verdict == "AGREE" for r in rows)
     assert all(not r.oracle_ran for r in rows)
     assert all("oracle=- exhaustive=-" in r.format_line() for r in rows)
@@ -186,8 +182,6 @@ def test_verify_family_optimizer_only_rows():
 def test_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         verify_theorem(3, 1, 9, 8)
-    with pytest.raises(ValueError):
-        verify_theorem(3, 1, 7, 8, oracle="sorcery")
 
 
 def test_extremal_report_members_satisfy_invariants():
