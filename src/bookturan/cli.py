@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .canon import canonical_graph, dedup_by_isomorphism
+from .canon import dedup_by_isomorphism
 from .checkers import contains_generalized_book, is_r_colorable
 from .constructions import (c5_blowup, family_c5_1, family_c5_2, family_c5_3,
                             family_g1, family_g2, family_g3, generalized_book,
@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--method", choices=["enumerate", "bb"], required=True)
     s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--time-limit", type=float, default=None)
+    s.add_argument("--node-limit", type=int,
+                   help="node budget per work unit (a deterministic cut)")
     s.add_argument("--emit", help="write extremal graphs to this graph6 file")
 
     v = sub.add_parser("verify", help="table comparing formula, families and oracle")
@@ -172,13 +173,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = CaseParams(args.n, args.r, args.k)
-    budget = SearchBudget(time_limit=args.time_limit, workers=args.workers)
+    budget = SearchBudget(node_limit=args.node_limit, workers=args.workers)
     if args.method == "enumerate":
         report = enumerate_extremal(params, budget)
     else:
         report = branch_bound_extremal(params, budget)
     print(report.format_line())
-    lines = [encode_graph6(canonical_graph(g)) for g in report.extremal]
+    lines = [encode_graph6(g) for g in report.extremal]
     if args.emit:
         with open(args.emit, "w", encoding="ascii") as fh:
             fh.writelines(line + "\n" for line in lines)

@@ -17,13 +17,13 @@ deduplicated by canonical form).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
-order, so reports are identical across runs and across worker counts.  Node
-limits truncate deterministically; time limits do not.
+order, so reports are identical across runs and across worker counts.  The
+only early stop is a node limit per work unit, so a report, truncated or
+not, is a function of the parameters and the node limit alone.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -39,20 +39,17 @@ from .graphs import Graph, join
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for a search run.  Exceeding a limit flags the report as
-    non-exhaustive; it never produces a wrong optimum claim.  node_limit is
-    applied per work unit and truncates deterministically; time_limit is
-    wall-clock for the whole call and does not."""
+    """Limits for a search run.  node_limit caps the nodes of each work unit
+    (and of the branch-and-bound prefix); exceeding it flags the report as
+    non-exhaustive and never produces a wrong optimum claim.  The cut is a
+    node count, never the clock, so truncated reports are deterministic."""
 
     node_limit: int | None = None
-    time_limit: float | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -62,19 +59,15 @@ class BudgetExceeded(Exception):
 
 
 class _State:
-    __slots__ = ("nodes", "node_limit", "deadline")
+    __slots__ = ("nodes", "node_limit")
 
-    def __init__(self, node_limit: int | None, deadline: float | None):
+    def __init__(self, node_limit: int | None):
         self.nodes = 0
         self.node_limit = node_limit
-        self.deadline = deadline
 
     def tick(self) -> None:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
-            raise BudgetExceeded
-        if (self.deadline is not None and self.nodes % 1024 == 0
-                and time.monotonic() > self.deadline):
             raise BudgetExceeded
 
 
@@ -209,7 +202,7 @@ def generate_graphs(n: int, book: tuple[int, int] | None = None) -> list[Graph]:
         raise ValueError("order must be non-negative")
     if n == 0:
         return [Graph(())]
-    return [Graph(rows) for rows, _ in _levels(n, book, _State(None, None))]
+    return [Graph(rows) for rows, _ in _levels(n, book, _State(None))]
 
 
 def enumerate_extremal(params: CaseParams,
@@ -220,8 +213,7 @@ def enumerate_extremal(params: CaseParams,
     budget.workers is ignored."""
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
-    state = _State(budget.node_limit, deadline)
+    state = _State(budget.node_limit)
     exhaustive = True
     best: int | None = None
     winners: dict[bytes, Graph] = {}
@@ -252,15 +244,14 @@ def _future_cap(m: int, parts: int) -> int:
     return turan_edge_count(m, min(parts, m))
 
 
-def _bb_unit(args) -> tuple[int | None, dict[bytes, tuple[int, tuple[int, ...]]],
-                            int, bool]:
+def _bb_unit(args) -> tuple[dict[bytes, tuple[int, tuple[int, ...]]], int, bool]:
     """Explore one generation subtree (work unit) to full order.
 
     Each unit starts from the same constructed incumbent and shares nothing,
     so its exploration is independent of how units are assigned to workers.
     """
-    (rows, e0, n, r, k, inc0, caps, edge_bound, node_limit, deadline) = args
-    state = _State(node_limit, deadline)
+    (rows, e0, n, r, k, inc0, caps, edge_bound, node_limit) = args
+    state = _State(node_limit)
     local_inc: int | None = inc0
     found: dict[bytes, tuple[int, tuple[int, ...]]] = {}
     completed = True
@@ -294,7 +285,7 @@ def _bb_unit(args) -> tuple[int | None, dict[bytes, tuple[int, tuple[int, ...]]]
         completed = False
     best_local = max((v[0] for v in found.values()), default=None)
     keep = {key: v for key, v in found.items() if v[0] == best_local}
-    return best_local, keep, state.nodes, completed
+    return keep, state.nodes, completed
 
 
 def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None,
@@ -312,7 +303,6 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     """
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
 
     seeds: list[Graph] = []
     if params.in_closed_form_range:
@@ -328,7 +318,7 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
 
     # generate work units: all surviving classes at the split depth
     depth = max(2, n - 3)
-    state = _State(budget.node_limit, deadline)
+    state = _State(budget.node_limit)
     floor = None
     if edge_bound and inc0 is not None:
         floor = [inc0 - cap for cap in caps]
@@ -339,8 +329,8 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
         prefix_ok = False
         level = []
 
-    unit_args = [(rows, e, n, r, k, inc0, caps, edge_bound,
-                  budget.node_limit, deadline) for rows, e in level]
+    unit_args = [(rows, e, n, r, k, inc0, caps, edge_bound, budget.node_limit)
+                 for rows, e in level]
     if budget.workers > 1 and len(unit_args) > 1:
         ctx = get_context("fork")
         with ctx.Pool(processes=budget.workers) as pool:
@@ -348,13 +338,13 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     else:
         results = [_bb_unit(a) for a in unit_args]
 
-    nodes = state.nodes + sum(res[2] for res in results)
-    exhaustive = prefix_ok and all(res[3] for res in results)
+    nodes = state.nodes + sum(res[1] for res in results)
+    exhaustive = prefix_ok and all(res[2] for res in results)
 
     candidates: dict[bytes, tuple[int, tuple[int, ...]]] = {}
     for g in seeds:
         candidates[pack_rows(g.rows)] = (g.edge_count(), g.rows)
-    for _, keep, _, _ in results:
+    for keep, _, _ in results:
         candidates.update(keep)
     best = max((v[0] for v in candidates.values()), default=None)
     extremal = tuple(Graph(v[1]) for key, v in sorted(candidates.items())
@@ -476,24 +466,18 @@ class VerifyRecord:
     p: int
     formula: int
     family_opt: int
-    oracle: int | None      # None: oracle ran, feasible set empty
-    oracle_ran: bool
-    exhaustive: bool | None  # None: no oracle ran
-    verdict: str            # AGREE | DISAGREE
+    oracle: int | None  # enumeration optimum; None: no oracle ran (n > 8)
+    verdict: str        # AGREE | DISAGREE
 
     def format_line(self) -> str:
-        """Deterministic table row; oracle=- exhaustive=- when no oracle ran
-        (n > 8), oracle=none when it ran and found no feasible graph."""
-        if self.oracle_ran:
-            oracle = str(self.oracle) if self.oracle is not None else "none"
-            exhaustive = str(bool(self.exhaustive)).lower()
-        else:
-            oracle = "-"
-            exhaustive = "-"
+        """Deterministic table row; oracle=- exhaustive=- when no oracle ran.
+        The oracle is unbudgeted enumeration, so whenever it ran it finished
+        and its value is exhaustive."""
+        oracle = ("oracle=- exhaustive=-" if self.oracle is None
+                  else f"oracle={self.oracle} exhaustive=true")
         return (f"n={self.n} r={self.r} k={self.k} q={self.q} p={self.p}"
                 f" formula={self.formula} family_opt={self.family_opt}"
-                f" oracle={oracle} exhaustive={exhaustive}"
-                f" verdict={self.verdict}")
+                f" {oracle} verdict={self.verdict}")
 
 
 def verify_theorem(r: int, k: int, n_from: int, n_to: int,
@@ -505,10 +489,17 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
     the closed form is not guaranteed, and the whole point of the harness is
     to report what actually holds there.  Above n = 8 no oracle runs, and
     the verdict compares the formula with the family optimizer and the
-    named families only.
+    named families only.  The range must start at the first order the
+    mode's case table covers: n >= 3r (q >= 3) for theorem1 and n >= r + 3
+    for theorem14; it is checked before any row is computed.
     """
     if n_from > n_to:
         raise ValueError("empty verification range")
+    first = 3 * r if mode == "theorem1" else r + 3
+    if n_from < first:
+        hint = f"; theorem14 starts at n = {r + 3}" if mode == "theorem1" else ""
+        raise ValueError(f"mode {mode} needs n >= {first} at r={r},"
+                         f" got n_from={n_from}{hint}")
     records = []
     for n in range(n_from, n_to + 1):
         params = CaseParams(n, r, k)
@@ -519,7 +510,9 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         consistent = (formula == fam.optimum
                       and fam.extremal_canon == pred_canon)
 
-        # unbudgeted enumeration always finishes, so its report is exhaustive
+        # unbudgeted enumeration always finishes, and for n >= r + 3 it
+        # always finds C5 v T_{r-2}(n-5) (K_{r+1}-free, chromatic number
+        # r + 1), so its optimum is never None
         rep = enumerate_extremal(params) if n <= 8 else None
         ok = consistent and (rep is None or (
             rep.optimum == formula and rep.extremal_canon == pred_canon))
@@ -528,6 +521,5 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         records.append(VerifyRecord(
             n=n, r=r, k=k, q=params.q, p=params.p, formula=formula,
             family_opt=fam.optimum, oracle=rep.optimum if rep else None,
-            oracle_ran=rep is not None,
-            exhaustive=rep.exhaustive if rep else None, verdict=verdict))
+            verdict=verdict))
     return records

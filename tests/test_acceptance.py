@@ -81,11 +81,11 @@ def test_criterion_4_boundary_row_is_reported():
     row = rows[0]
     assert row.formula == 11          # the closed form at the boundary
     assert row.family_opt == 10       # what the constructions actually give
-    assert row.oracle == 10 and row.exhaustive  # the enumeration adjudicates
+    assert row.oracle == 10           # the enumeration adjudicates
     assert row.verdict == "DISAGREE"  # recorded, not hidden, not fatal
     line = row.format_line()
     for field in ("n=6", "formula=11", "family_opt=10", "oracle=10",
-                  "verdict=DISAGREE"):
+                  "exhaustive=true", "verdict=DISAGREE"):
         assert field in line
     _report(4, f"boundary row recorded: {line}")
 

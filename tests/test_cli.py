@@ -55,6 +55,16 @@ def test_construct_c5blowup(capsys):
     assert is_isomorphic(g, c5_blowup((1, 1, 1, 1, 1)))
 
 
+def test_construct_ks(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--family", "ks",
+                           "--parts", "4,4,4", "--s", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert is_isomorphic(decode_graph6(lines[0]),
+                         join(c5_blowup((2, 2, 1, 1, 2)), empty_graph(4)))
+
+
 def test_construct_emitted_graphs_satisfy_claimed_predicates(capsys):
     code, out, _ = run_cli(capsys, "construct", "--family", "g2",
                            "--n", "12", "--r", "3", "--k", "2")
@@ -181,6 +191,23 @@ def test_search_workers_byte_identical(capsys):
     assert len(outs) == 1
 
 
+def test_search_node_limit_truncates_deterministically(capsys):
+    outs = set()
+    for w in ("1", "2"):
+        code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",
+                               "--k", "2", "--method", "bb",
+                               "--node-limit", "500", "--workers", w)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
+            " nodes=501 exhaustive=false")
+        outs.add(out)
+    assert len(outs) == 1
+    code, out, err = run_cli(capsys, "search", "--n", "7", "--r", "3",
+                             "--k", "1", "--method", "bb", "--node-limit", "0")
+    assert code == 1 and out == "" and "must be positive" in err
+
+
 def test_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--r", "3", "--k", "1",
                            "--n-from", "6", "--n-to", "9",
@@ -197,6 +224,14 @@ def test_verify(capsys):
         "n=9 r=3 k=1 q=3 p=0 formula=25 family_opt=25 oracle=-"
         " exhaustive=- verdict=AGREE",
     ]
+
+
+def test_verify_range_below_case_table_is_rejected_up_front(capsys):
+    # theorem1 starts at q >= 3 (n >= 3r); no row is printed before the error
+    code, out, err = run_cli(capsys, "verify", "--r", "3", "--k", "1",
+                             "--n-from", "6", "--n-to", "14")
+    assert code == 1 and out == ""
+    assert "n >= 9" in err and "theorem14" in err
 
 
 def test_verify_strict_flags_disagreement(capsys):

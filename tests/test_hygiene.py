@@ -41,3 +41,20 @@ def test_sources_use_every_import():
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in MODULES + TESTS}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_every_cli_option_appears_in_cli_tests():
+    """Each "--option" that cli.py passes to add_argument is exercised (at
+    least spelled as a string) somewhere in tests/test_cli.py."""
+    cli = ast.parse((ROOT / "src" / "bookturan" / "cli.py").read_text())
+    options = {arg.value for node in ast.walk(cli)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "add_argument"
+               for arg in node.args
+               if isinstance(arg, ast.Constant) and arg.value.startswith("--")}
+    assert options
+    tests = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    tested = {node.value for node in ast.walk(tests)
+              if isinstance(node, ast.Constant)}
+    assert sorted(options - tested) == []
