@@ -3,12 +3,14 @@
 Graphs travel as graph6 lines.  All output is deterministic: identical
 invocations produce byte-identical output, and search reports are identical
 for any worker count.  Exit codes: 0 success, 1 domain error (or a DISAGREE
-verdict under --strict), 2 usage error.
+verdict under --strict, or a reader that closed the output pipe early, as
+`| head -1` does), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .canon import dedup_by_isomorphism
@@ -31,6 +33,16 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--method", choices=["enumerate", "bb"], required=True)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--node-limit", type=int,
+    s.add_argument("--workers", type=_positive_int, default=1)
+    s.add_argument("--node-limit", type=_positive_int,
                    help="node budget per work unit (a deterministic cut)")
     s.add_argument("--emit", help="write extremal graphs to this graph6 file")
 
@@ -199,21 +211,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.command == "construct":
+        return _cmd_construct(parser, args)
+    if args.command == "eval":
+        return _cmd_eval(args)
+    if args.command == "check":
+        return _cmd_check(args)
+    if args.command == "search":
+        return _cmd_search(args)
+    return _cmd_verify(args)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "construct":
-            return _cmd_construct(parser, args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        return _cmd_verify(args)
+        code = _run(parser, args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit
+        # cannot fail again (the recipe of the Python signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

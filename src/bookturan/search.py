@@ -13,7 +13,11 @@ Generation uses canonical augmentation: a child produced by appending one
 vertex is kept iff deleting the vertex at the *last canonical position*
 yields the generating parent class.  Parents are pairwise non-isomorphic, so
 each class is produced exactly once globally (children of one parent are
-deduplicated by canonical form).
+deduplicated by canonical form).  The canonical labelling orders vertices by
+ascending degree, so the last canonical vertex has maximum degree; only
+extensions whose new vertex has maximum degree in the child are ever built,
+and a child whose new vertex already lands last is accepted without
+canonically labelling its parent again (see _extensions and _children).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -147,10 +151,25 @@ def _extensions(prows: tuple[int, ...], minpop: int,
                 state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
     """Book-free one-vertex extensions of prows, as (child rows, degree t of
     the appended vertex), by descending t >= minpop and then lexicographic
-    neighbourhood.  Every neighbourhood tried costs one state tick."""
+    neighbourhood.  Every neighbourhood tried costs one state tick.
+
+    Degree rule: only neighbourhoods that leave the new vertex at maximum
+    degree in the child are tried, i.e. t >= max degree of prows and every
+    neighbour has degree below t in prows.  Sound, because canon_rows orders
+    vertices by ascending degree (_refine splits degree groups in ascending
+    order), so the last canonical vertex w of any class G has maximum
+    degree t.  G is accepted from its canonical parent P = [G - w] only,
+    and the neighbourhood that rebuilds G from P passes the rule: a
+    neighbour of w has degree at most t - 1 in P, a non-neighbour at most t.
+    Children of one parent are deduplicated and accepted on their class
+    alone, so skipping the other neighbourhoods of the same class loses
+    nothing.  The BB leaf level and the floor/minpop edge bound follow the
+    same canonical-deletion chain, so they keep every class they kept.
+    """
     n = len(prows)
-    for t in range(n, max(minpop, 0) - 1, -1):
-        for comb in combinations(range(n), t):
+    degs = [row.bit_count() for row in prows]
+    for t in range(n, max(minpop, max(degs)) - 1, -1):
+        for comb in combinations([u for u in range(n) if degs[u] < t], t):
             state.tick()
             crows = _child_rows(prows, comb)
             if book is None or not _adds_book(crows, n, *book):
@@ -169,14 +188,16 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
     for crows, t in _extensions(prows, minpop, book, state):
-        ckey, _ = canon_rows(crows)
+        ckey, perm = canon_rows(crows)
         if ckey in seen:
             continue
         seen.add(ckey)
         # delete the vertex at the last canonical position; accept the
-        # child iff that recovers the generating parent class
-        deleted = tuple(row & ~(1 << n) for row in ckey[:n])
-        if canon_rows(deleted)[0] == prows:
+        # child iff that recovers the generating parent class.  If that
+        # vertex is the new one (perm[n] == n), the deletion is prows
+        # relabelled by perm, whose canonical form is prows: no canon call.
+        if perm[n] == n or canon_rows(
+                tuple(row & ~(1 << n) for row in ckey[:n]))[0] == prows:
             out.append((ckey, t))
     return out
 

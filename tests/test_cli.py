@@ -196,16 +196,47 @@ def test_search_node_limit_truncates_deterministically(capsys):
     for w in ("1", "2"):
         code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",
                                "--k", "2", "--method", "bb",
-                               "--node-limit", "500", "--workers", w)
+                               "--node-limit", "200", "--workers", w)
         assert code == 0
         assert out.splitlines()[0] == (
             "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-            " nodes=501 exhaustive=false")
+            " nodes=201 exhaustive=false")
         outs.add(out)
     assert len(outs) == 1
-    code, out, err = run_cli(capsys, "search", "--n", "7", "--r", "3",
-                             "--k", "1", "--method", "bb", "--node-limit", "0")
-    assert code == 1 and out == "" and "must be positive" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "7", "--r", "3", "--k", "1", "--method", "bb",
+              "--node-limit", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --node-limit: must be positive" in captured.err
+
+
+def test_search_workers_must_be_positive(capsys):
+    # a usage error that names the option, not the SearchBudget field
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "7", "--r", "3", "--k", "1", "--method", "bb",
+              "--workers", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --workers: must be positive" in captured.err
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the reader closes the pipe before the search prints, as `| head -1`
+    # or `| true` can: exit 1 with nothing on stderr, no traceback
+    src = os.path.dirname(os.path.dirname(bookturan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bookturan.cli", "search", "--n", "9",
+         "--r", "3", "--k", "2", "--method", "bb"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_verify(capsys):

@@ -1,7 +1,9 @@
 import pytest
 
-from bookturan.canon import canonical_form, is_isomorphic, pack_rows
-from bookturan.checkers import is_nonpartite_book_free
+from bookturan.canon import (canonical_form, canonical_graph, is_isomorphic,
+                             pack_rows)
+from bookturan.checkers import (contains_generalized_book,
+                                is_nonpartite_book_free)
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      family_g3)
 from bookturan.formulas import CaseParams, ex_nonpartite_value
@@ -11,11 +13,29 @@ from bookturan.search import (BudgetExceeded, SearchBudget,
                               family_optimizer, generate_graphs,
                               verify_theorem)
 
+from test_canon import all_labeled_graphs
+
 W7 = join(c5_blowup((1, 1, 1, 1, 1)), empty_graph(2))
 
 
 def test_generation_class_counts():
-    assert [len(generate_graphs(n)) for n in range(0, 7)] == [1, 1, 2, 4, 11, 34, 156]
+    assert [len(generate_graphs(n)) for n in range(0, 9)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
+def test_generation_matches_labelled_brute_force():
+    # the degree rule and the parent shortcut against no generation at all:
+    # canonicalize every labelled graph, then filter the classes by the book
+    # checker
+    for n in range(0, 7):
+        classes = {canonical_form(g): canonical_graph(g)
+                   for g in all_labeled_graphs(n)}
+        for book in (None, (3, 1), (3, 2)):
+            expected = {form for form, g in classes.items() if book is None
+                        or contains_generalized_book(g, *book) is None}
+            generated = [pack_rows(g.rows) for g in generate_graphs(n, book)]
+            assert len(generated) == len(set(generated)), (n, book)
+            assert set(generated) == expected, (n, book)
 
 
 def test_generation_members_are_canonical_and_distinct():
@@ -103,13 +123,17 @@ def test_bb_infeasible_below_r_plus_one():
 
 def test_bb_deterministic_across_workers():
     params = CaseParams(7, 3, 1)
-    # a limit of 50 cuts inside the work units, after the prefix completes
-    for node_limit in (None, 50, 500):
+    # a limit of 30 cuts inside the work units, after the prefix completes
+    for node_limit in (None, 30):
         reports = [branch_bound_extremal(
             params, SearchBudget(node_limit=node_limit, workers=w))
             for w in (1, 2, 4)]
         # equal values: same line, extremal order, canonical set and nodes
         assert reports[0] == reports[1] == reports[2]
+        if node_limit is not None:
+            # more nodes than one limit's worth: several units did run
+            assert not reports[0].exhaustive
+            assert reports[0].nodes > node_limit + 1
 
 
 def test_family_optimizer_examples():
@@ -211,7 +235,7 @@ def test_report_line_shape():
     # unless a new pruning rule changes the node count on purpose
     assert enumerate_extremal(CaseParams(7, 3, 1)).format_line() == (
         "n=7 r=3 k=1 q=2 p=1 method=enumeration optimum=15 classes=1"
-        " nodes=8810 exhaustive=true")
+        " nodes=2933 exhaustive=true")
     assert branch_bound_extremal(CaseParams(9, 3, 2)).format_line() == (
         "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-        " nodes=21498 exhaustive=true")
+        " nodes=7760 exhaustive=true")
