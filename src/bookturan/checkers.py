@@ -234,10 +234,11 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
 
     for i, v in enumerate(clique):
         assign(v, i)
-    max_used = len(clique)
     uncolored = [v for v in range(n) if colors[v] == -1]
 
-    def backtrack(max_used: int) -> bool:
+    def pick(max_used: int) -> list[int] | None:
+        """Search frame for the next vertex: [vertex, untried colours, colours
+        used before it], or None once every vertex is coloured."""
         best_v = -1
         best_key = None
         for v in uncolored:
@@ -248,18 +249,32 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
                 best_key = key
                 best_v = v
         if best_v == -1:
-            return True
+            return None
         limit = min(r, max_used + 1)
-        avail = ~nbr_mask[best_v] & ((1 << limit) - 1)
-        for c in _bits(avail):
-            assign(best_v, c)
-            if backtrack(max(max_used, c + 1)):
-                return True
-            unassign(best_v, c)
-        return False
+        return [best_v, ~nbr_mask[best_v] & ((1 << limit) - 1), max_used]
 
-    if backtrack(max_used):
+    # depth-first over an explicit stack (one frame per coloured vertex, so
+    # long paths and cycles cannot exhaust the interpreter's recursion
+    # limit), trying each frame's colours in ascending order
+    frame = pick(len(clique))
+    if frame is None:
         return ColoringWitness(tuple(colors))
+    stack = [frame]
+    while stack:
+        frame = stack[-1]
+        v, avail, max_used = frame
+        if colors[v] != -1:
+            unassign(v, colors[v])
+        if not avail:
+            stack.pop()
+            continue
+        c = (avail & -avail).bit_length() - 1
+        frame[1] = avail & avail - 1
+        assign(v, c)
+        frame = pick(max(max_used, c + 1))
+        if frame is None:
+            return ColoringWitness(tuple(colors))
+        stack.append(frame)
     return None
 
 

@@ -39,9 +39,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.rows[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(len(self.rows)):
             for v in _bits(self.rows[u] >> u + 1 << u + 1):

@@ -22,13 +22,15 @@ canonically labelling its parent again (see _extensions and _children).
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
 order, so reports are identical across runs and across worker counts.  The
-only early stop is a node limit per work unit, so a report, truncated or
-not, is a function of the parameters and the node limit alone.
+only early stop is a node limit per work unit (for branch-and-bound, every
+class it expands), so a report, truncated or not, is a function of the
+parameters and the node limit alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import get_context
@@ -44,9 +46,10 @@ from .graphs import Graph, join
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits for a search run.  node_limit caps the nodes of each work unit
-    (and of the branch-and-bound prefix); exceeding it flags the report as
-    non-exhaustive and never produces a wrong optimum claim.  The cut is a
-    node count, never the clock, so truncated reports are deterministic."""
+    (every class branch-and-bound expands is one); exceeding it flags the
+    report as non-exhaustive and never produces a wrong optimum claim.  The
+    cut is a node count, never the clock, so truncated reports are
+    deterministic."""
 
     node_limit: int | None = None
     workers: int = 1
@@ -163,8 +166,8 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     neighbour of w has degree at most t - 1 in P, a non-neighbour at most t.
     Children of one parent are deduplicated and accepted on their class
     alone, so skipping the other neighbourhoods of the same class loses
-    nothing.  The BB leaf level and the floor/minpop edge bound follow the
-    same canonical-deletion chain, so they keep every class they kept.
+    nothing.  The BB leaf level and the minpop edge bound follow the same
+    canonical-deletion chain, so they keep every class they kept.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
@@ -202,17 +205,14 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     return out
 
 
-def _levels(order: int, book: tuple[int, int] | None, state: _State,
-            floor: list[int] | None = None) -> list[tuple[tuple[int, ...], int]]:
+def _levels(order: int, book: tuple[int, int] | None,
+            state: _State) -> list[tuple[tuple[int, ...], int]]:
     """(canonical rows, edge count) of every book-free class of the given
-    order (at least 1), generated level by level.  With floor, a class of
-    order j is only grown from a parent with e edges by a vertex of degree
-    at least floor[j] - e."""
+    order (at least 1), generated level by level with no pruning."""
     level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
-    for j in range(2, order + 1):
+    for _ in range(2, order + 1):
         level = [(crows, e + t) for prows, e in level
-                 for crows, t in _children(
-                     prows, 0 if floor is None else floor[j] - e, book, state)]
+                 for crows, t in _children(prows, 0, book, state)]
     return level
 
 
@@ -265,16 +265,21 @@ def _future_cap(m: int, parts: int) -> int:
     return turan_edge_count(m, min(parts, m))
 
 
-def _bb_unit(args) -> tuple[dict[bytes, tuple[int, tuple[int, ...]]], int, bool]:
-    """Explore one generation subtree (work unit) to full order.
+def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
+    """Expand one class (a work unit) down to the stop order.
 
-    Each unit starts from the same constructed incumbent and shares nothing,
-    so its exploration is independent of how units are assigned to workers.
+    Returns the canonical rows and edge counts the unit reaches at the stop
+    order, in generation order, with its node count and whether it finished
+    within the node limit.  Below the target order these are the class's
+    accepted children; at the target order they are the leaves that reach
+    the unit's incumbent.  Each unit starts from the same constructed
+    incumbent and shares nothing, so its result is independent of how units
+    are assigned to workers.
     """
-    (rows, e0, n, r, k, inc0, caps, edge_bound, node_limit) = args
+    (rows, e0, stop, n, r, k, inc0, caps, edge_bound, node_limit) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
-    found: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+    found: dict[tuple[int, ...], int] = {}
     completed = True
 
     def dfs(prows: tuple[int, ...], e: int) -> None:
@@ -286,7 +291,10 @@ def _bb_unit(args) -> tuple[dict[bytes, tuple[int, tuple[int, ...]]], int, bool]
             minpop = local_inc - e - caps[j + 1]
         if j < n - 1:
             for crows, t in _children(prows, minpop, (r, k), state):
-                dfs(crows, e + t)
+                if j + 1 < stop:
+                    dfs(crows, e + t)
+                else:
+                    found[crows] = e + t
             return
         for crows, t in _extensions(prows, minpop, (r, k), state):
             ce = e + t
@@ -296,17 +304,14 @@ def _bb_unit(args) -> tuple[dict[bytes, tuple[int, tuple[int, ...]]], int, bool]
                 continue
             if local_inc is None or ce > local_inc:
                 local_inc = ce
-            ckey, _ = canon_rows(crows)
-            found[pack_rows(ckey)] = (ce, ckey)
+            found[canon_rows(crows)[0]] = ce
 
-    assert len(rows) < n, "work units must sit below the target order"
+    assert len(rows) < stop <= n, "a work unit grows its class"
     try:
         dfs(rows, e0)
     except BudgetExceeded:
         completed = False
-    best_local = max((v[0] for v in found.values()), default=None)
-    keep = {key: v for key, v in found.items() if v[0] == best_local}
-    return keep, state.nodes, completed
+    return found, state.nodes, completed
 
 
 def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None,
@@ -321,6 +326,11 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     (iii) the incumbent starts from the constructed families, giving a
     certified lower bound.  Ties with the incumbent are never pruned, so the
     full extremal set survives.
+
+    Every class is a work unit: each class of order below the split depth
+    is expanded by one order, and each class at the split depth is searched
+    to order n.  Units run in the pool when workers > 1, and each order's
+    results are concatenated in parent order.
     """
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
@@ -337,39 +347,27 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
 
     caps = [j * (n - j) + _future_cap(n - j, r + k - 1) for j in range(n + 1)]
 
-    # generate work units: all surviving classes at the split depth
     depth = max(2, n - 3)
-    state = _State(budget.node_limit)
-    floor = None
-    if edge_bound and inc0 is not None:
-        floor = [inc0 - cap for cap in caps]
-    try:
-        level = _levels(depth, (r, k), state, floor)
-        prefix_ok = True
-    except BudgetExceeded:
-        prefix_ok = False
-        level = []
+    level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
+    nodes, exhaustive = 0, True
+    with (get_context("fork").Pool(processes=budget.workers)
+          if budget.workers > 1 else nullcontext()) as pool:
+        for stop in [*range(2, depth + 1), n]:
+            unit_args = [(rows, e, stop, n, r, k, inc0, caps, edge_bound,
+                          budget.node_limit) for rows, e in level]
+            if pool is not None and len(unit_args) > 1:
+                results = pool.map(_bb_unit, unit_args)
+            else:
+                results = [_bb_unit(a) for a in unit_args]
+            nodes += sum(res[1] for res in results)
+            exhaustive = exhaustive and all(res[2] for res in results)
+            level = [item for res in results for item in res[0].items()]
 
-    unit_args = [(rows, e, n, r, k, inc0, caps, edge_bound, budget.node_limit)
-                 for rows, e in level]
-    if budget.workers > 1 and len(unit_args) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=budget.workers) as pool:
-            results = pool.map(_bb_unit, unit_args)
-    else:
-        results = [_bb_unit(a) for a in unit_args]
-
-    nodes = state.nodes + sum(res[1] for res in results)
-    exhaustive = prefix_ok and all(res[2] for res in results)
-
-    candidates: dict[bytes, tuple[int, tuple[int, ...]]] = {}
-    for g in seeds:
-        candidates[pack_rows(g.rows)] = (g.edge_count(), g.rows)
-    for keep, _, _ in results:
-        candidates.update(keep)
-    best = max((v[0] for v in candidates.values()), default=None)
-    extremal = tuple(Graph(v[1]) for key, v in sorted(candidates.items())
-                     if v[0] == best)
+    candidates = {g.rows: g.edge_count() for g in seeds}
+    candidates.update(level)
+    best = max(candidates.values(), default=None)
+    extremal = tuple(Graph(rows) for rows in sorted(
+        (rows for rows, e in candidates.items() if e == best), key=pack_rows))
     return ExtremalReport(params=params, method="branch_bound", optimum=best,
                           extremal=extremal, exhaustive=exhaustive, nodes=nodes)
 

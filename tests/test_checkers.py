@@ -130,6 +130,22 @@ def test_coloring_examples():
         is_r_colorable(C5, 0)
 
 
+def test_coloring_long_cycles_need_no_recursion():
+    # one search frame per vertex: 1500 frames would pass Python's default
+    # recursion limit of 1000
+    def cycle(n):
+        return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+    even, odd = cycle(1500), cycle(1501)
+    w = is_r_colorable(even, 2)
+    assert w is not None
+    check_coloring(even, w, 2)
+    assert is_r_colorable(odd, 2) is None
+    w3 = is_r_colorable(odd, 3)
+    assert w3 is not None
+    check_coloring(odd, w3, 3)
+
+
 def test_chromatic_examples():
     assert chromatic_number(K5) == 5
     assert chromatic_number(turan_graph(9, 3)) == 3

@@ -10,7 +10,7 @@ from bookturan.cli import main
 from bookturan.graph6 import decode_graph6, encode_graph6
 from bookturan.canon import is_isomorphic
 from bookturan.constructions import c5_blowup, generalized_book, turan_graph
-from bookturan.graphs import empty_graph, join
+from bookturan.graphs import empty_graph, from_edges, join
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +143,18 @@ def test_check(tmp_path, capsys):
             assert k5.has_edge(p, u)
 
 
+def test_check_long_cycle(tmp_path, capsys):
+    n = 1500
+    path = tmp_path / "c1500.g6"
+    path.write_text(encode_graph6(
+        from_edges(n, [(i, (i + 1) % n) for i in range(n)])) + "\n")
+    code, out, _ = run_cli(capsys, "check", "--input", str(path),
+                           "--r", "2", "--k", "1")
+    assert code == 0
+    assert out == ("line=1 n=1500 e=1500 r_colorable=true contains_book=false"
+                   " candidate=false\n")
+
+
 def test_check_malformed_line_reports_line_number(tmp_path, capsys):
     path = tmp_path / "bad.g6"
     path.write_text("A_\nA\x19_\n")
@@ -192,6 +204,8 @@ def test_search_workers_byte_identical(capsys):
 
 
 def test_search_node_limit_truncates_deterministically(capsys):
+    # each of the 181 classes that branch-and-bound expands is a unit capped
+    # at 200 nodes: all of them run and 3 are cut (complete: nodes=7760)
     outs = set()
     for w in ("1", "2"):
         code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",
@@ -200,7 +214,7 @@ def test_search_node_limit_truncates_deterministically(capsys):
         assert code == 0
         assert out.splitlines()[0] == (
             "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-            " nodes=201 exhaustive=false")
+            " nodes=7684 exhaustive=false")
         outs.add(out)
     assert len(outs) == 1
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
-"""Every module uses each name it imports (a stdlib stand-in for a linter).
+"""Stdlib stand-ins for a linter: every module uses each name it imports,
+every function and class of the package is used somewhere, and every CLI
+option is exercised.
 
-The package's ``__init__.py`` is skipped: its imports are the public API.
+The package's ``__init__.py`` is skipped by the import check: its imports
+are the public API.
 """
 
 import ast
@@ -10,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "bookturan").glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +45,46 @@ def test_sources_use_every_import():
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in MODULES + TESTS}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def unreferenced_definitions(defining: list[str],
+                              referring: list[str]) -> list[str]:
+    """Functions and classes (methods and nested ones included, dunders
+    excepted) that the defining sources declare and that no name, attribute
+    or import in the referring sources mentions."""
+    defined: set[str] = set()
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defined.add(node.name)
+    used: set[str] = set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1] for alias in node.names)
+    return sorted(defined - used)
+
+
+def test_definition_checker_flags_only_unused_names():
+    defining = ("class A:\n    def __init__(self): pass\n"
+                "    def m(self): pass\n    def dead(self): pass\n"
+                "def f(): pass\ndef g(): pass\ndef h(): pass\n")
+    referring = "from pkg import f\nA().m()\ng\n"
+    assert unreferenced_definitions([defining], [referring]) == ["dead", "h"]
+
+
+def test_every_package_definition_is_referenced():
+    package = sorted((ROOT / "src" / "bookturan").glob("*.py"))
+    assert BENCH
+    assert unreferenced_definitions(
+        [p.read_text() for p in package],
+        [p.read_text() for p in package + TESTS + BENCH]) == []
 
 
 def test_every_cli_option_appears_in_cli_tests():

@@ -122,9 +122,12 @@ def test_bb_infeasible_below_r_plus_one():
 
 
 def test_bb_deterministic_across_workers():
-    params = CaseParams(7, 3, 1)
-    # a limit of 30 cuts inside the work units, after the prefix completes
-    for node_limit in (None, 30):
+    # a limit of 30 cuts inside the work units; at (9,3,2) the classes below
+    # the split depth take 399 nodes, so it also checks that the limit is
+    # per class there, not one budget for all of them
+    for params, node_limit in ((CaseParams(7, 3, 1), None),
+                               (CaseParams(7, 3, 1), 30),
+                               (CaseParams(9, 3, 2), 30)):
         reports = [branch_bound_extremal(
             params, SearchBudget(node_limit=node_limit, workers=w))
             for w in (1, 2, 4)]
