@@ -7,8 +7,7 @@ color-criticality), and independently verifies the closed form at desk scale
 with exhaustive and branch-and-bound search oracles.
 """
 
-from .canon import (canonical_form, canonical_graph, canonical_permutation,
-                    dedup_by_isomorphism, is_isomorphic)
+from .canon import canonical_form, dedup_by_isomorphism, is_isomorphic
 from .checkers import (BookWitness, ColoringWitness, chromatic_number,
                        contains_clique, contains_generalized_book,
                        contains_subgraph, is_color_critical,
@@ -22,9 +21,8 @@ from .formulas import (CaseParams, ExtremalCase, ex_nonpartite_value,
                        extremal_case, intersection_lower_bound,
                        turan_edge_count, turan_sandwich_holds)
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .graphs import (Graph, add_edge, common_neighbors, delete_vertex,
-                     disjoint_union, empty_graph, from_edges,
-                     induced_subgraph, join, relabel, remove_edge)
+from .graphs import (Graph, add_edge, empty_graph, from_edges, join, relabel,
+                     remove_edge)
 from .search import (ExtremalReport, SearchBudget, VerifyRecord,
                      branch_bound_extremal, enumerate_extremal,
                      family_optimizer, generate_graphs, verify_theorem)

@@ -3,11 +3,16 @@
 The vertex partition is refined until equitable (within every cell, all
 vertices have the same number of neighbours in every cell).  If cells remain
 non-singleton, the search individualizes each vertex of the first smallest
-non-singleton cell in label order, re-refines, and recurses; branches whose
+non-singleton cell in label order, re-refines, and descends; branches whose
 chosen vertex is a twin of an already-explored one are skipped, because the
 swap is an automorphism and yields the same leaves.  The canonical labelling
-is the leaf whose relabelled adjacency rows compare smallest, so equal
-canonical forms certify isomorphism and distinct forms refute it.
+is the first leaf, in depth-first order, whose relabelled adjacency rows
+compare smallest, so equal canonical forms certify isomorphism and distinct
+forms refute it.
+
+The search walks an explicit stack rather than recursing: a twin cell is
+individualized one vertex per level, so an empty or complete graph on n
+vertices is n levels deep.
 
 Twin pruning is what keeps large blow-up joins tractable: their refinement
 stabilizes with one cell per interchangeable vertex class, and without the
@@ -31,28 +36,24 @@ def _mask_of(vertices: list[int]) -> int:
 
 
 def _twin_roots(rows: tuple[int, ...]) -> list[int]:
-    """Union-find roots of the relation "swapping u and v is an automorphism".
+    """Class labels of the relation "swapping u and v is an automorphism".
 
-    Two vertices are merged when their open neighbourhoods coincide, or their
+    Two vertices are twins when their open neighbourhoods coincide, or their
     closed neighbourhoods coincide; chains of such transpositions compose to
     automorphisms, so one representative per class suffices while branching.
+    No vertex u has both an open twin v and a closed twin w: w is adjacent
+    to u, so w lies in N(u) = N(v) and v in N(w), hence in N[u]; but open
+    twins are non-adjacent.  So each class is one open-twin or one
+    closed-twin class, labelled by its first vertex: the smaller of the
+    first vertex with v's open row and the first with v's closed row.
     """
-    n = len(rows)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        ru = rows[u]
-        cu = ru | 1 << u
-        for v in range(u + 1, n):
-            if rows[v] == ru or rows[v] | 1 << v == cu:
-                parent[find(v)] = find(u)
-    return [find(v) for v in range(n)]
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        first_open.setdefault(row, v)
+        first_closed.setdefault(row | 1 << v, v)
+    return [min(first_open[row], first_closed[row | 1 << v])
+            for v, row in enumerate(rows)]
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]],
@@ -88,52 +89,51 @@ def canon_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
         return (0,), (0,)
 
     twin = _twin_roots(rows)
-    cells0 = _refine(rows, [list(range(n))], deque([(1 << n) - 1]))
-
     best_rows: list[int] | None = None
     best_perm: list[int] | None = None
-
-    def leaf(cells: list[list[int]]) -> None:
-        nonlocal best_rows, best_perm
-        perm = [0] * n
-        for pos, cell in enumerate(cells):
-            perm[cell[0]] = pos
-        new_rows = [0] * n
-        for v in range(n):
-            acc = 0
-            m = rows[v]
-            while m:
-                lsb = m & -m
-                acc |= 1 << perm[lsb.bit_length() - 1]
-                m ^= lsb
-            new_rows[perm[v]] = acc
-        if best_rows is None or new_rows < best_rows:
-            best_rows = new_rows
-            best_perm = perm
-
-    def search(cells: list[list[int]]) -> None:
+    # each entry is (cells, target, v): individualize v in cells[target]
+    # and refine, except the root entry, whose cells are still unrefined
+    stack = [([list(range(n))], 0, -1)]
+    while stack:
+        cells, target, v = stack.pop()
+        if v < 0:
+            cells = _refine(rows, cells, deque([(1 << n) - 1]))
+        else:
+            rest = [u for u in cells[target] if u != v]
+            cells = _refine(rows, cells[:target] + [[v], rest]
+                            + cells[target + 1:], deque([1 << v, _mask_of(rest)]))
         target = -1
         size = n + 1
         for i, cell in enumerate(cells):
             if 1 < len(cell) < size:
                 target = i
                 size = len(cell)
-        if target < 0:
-            leaf(cells)
-            return
-        cell = cells[target]
-        seen_roots: set[int] = set()
-        for v in cell:
-            root = twin[v]
-            if root in seen_roots:
-                continue
-            seen_roots.add(root)
-            rest = [u for u in cell if u != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1:]
-            queue = deque([1 << v, _mask_of(rest)])
-            search(_refine(rows, child, queue))
+        if target >= 0:
+            seen_roots: set[int] = set()
+            branches = []
+            for u in cells[target]:
+                if twin[u] not in seen_roots:
+                    seen_roots.add(twin[u])
+                    branches.append(u)
+            # pushed in reverse, so branches are explored in label order
+            stack.extend((cells, target, u) for u in reversed(branches))
+            continue
+        perm = [0] * n
+        for pos, cell in enumerate(cells):
+            perm[cell[0]] = pos
+        new_rows = [0] * n
+        for u in range(n):
+            acc = 0
+            m = rows[u]
+            while m:
+                lsb = m & -m
+                acc |= 1 << perm[lsb.bit_length() - 1]
+                m ^= lsb
+            new_rows[perm[u]] = acc
+        if best_rows is None or new_rows < best_rows:
+            best_rows = new_rows
+            best_perm = perm
 
-    search(cells0)
     assert best_rows is not None and best_perm is not None
     return tuple(best_rows), tuple(best_perm)
 
@@ -149,18 +149,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Relabelling-invariant fingerprint identifying g's isomorphism class."""
     rows, _ = canon_rows(g.rows)
     return pack_rows(rows)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labelled representative of g's isomorphism class."""
-    rows, _ = canon_rows(g.rows)
-    return Graph(rows)
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Permutation old->new such that relabel(g, perm) is canonical."""
-    _, perm = canon_rows(g.rows)
-    return perm
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

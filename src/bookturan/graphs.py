@@ -33,9 +33,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -102,12 +99,6 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(tuple(rows))
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """g1 and g2 side by side; g2's vertices are shifted up by |g1|."""
-    n1 = g1.order
-    return Graph(g1.rows + tuple(row << n1 for row in g2.rows))
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
     n1, n2 = g1.order, g2.order
@@ -116,19 +107,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     rows = [row | high for row in g1.rows]
     rows += [(row << n1) | low for row in g2.rows]
     return Graph(tuple(rows))
-
-
-def common_neighbors(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Vertices outside s adjacent to every member of s (all vertices if s is empty)."""
-    n = g.order
-    mask = (1 << n) - 1
-    smask = 0
-    for v in s:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for order {n}")
-        smask |= 1 << v
-        mask &= g.rows[v]
-    return frozenset(_bits(mask & ~smask))
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
@@ -143,35 +121,4 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
         for u in _bits(g.rows[v]):
             acc |= 1 << p[u]
         rows[p[v]] = acc
-    return Graph(tuple(rows))
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    n = g.order
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range for order {n}")
-    low = (1 << v) - 1
-    rows = []
-    for u in range(n):
-        if u == v:
-            continue
-        row = g.rows[u]
-        rows.append((row & low) | ((row >> v + 1) << v))
-    return Graph(tuple(rows))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabelled 0.. in sorted order."""
-    vs = sorted(set(vertices))
-    n = g.order
-    if vs and not (0 <= vs[0] and vs[-1] < n):
-        raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    rows = []
-    for v in vs:
-        acc = 0
-        for u in _bits(g.rows[v]):
-            if u in pos:
-                acc |= 1 << pos[u]
-        rows.append(acc)
     return Graph(tuple(rows))

@@ -276,7 +276,7 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     incumbent and shares nothing, so its result is independent of how units
     are assigned to workers.
     """
-    (rows, e0, stop, n, r, k, inc0, caps, edge_bound, node_limit) = args
+    (rows, e0, stop, n, r, k, inc0, caps, node_limit) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
     found: dict[tuple[int, ...], int] = {}
@@ -285,10 +285,8 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     def dfs(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
         j = len(prows)
-        minpop = 0
-        if edge_bound and local_inc is not None:
-            # at the leaf level caps[n] == 0, so this is local_inc - e there
-            minpop = local_inc - e - caps[j + 1]
+        # at the leaf level caps[n] == 0, so this is local_inc - e there
+        minpop = 0 if local_inc is None else local_inc - e - caps[j + 1]
         if j < n - 1:
             for crows, t in _children(prows, minpop, (r, k), state):
                 if j + 1 < stop:
@@ -314,18 +312,19 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     return found, state.nodes, completed
 
 
-def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None,
-                          edge_bound: bool = True) -> ExtremalReport:
+def branch_bound_extremal(params: CaseParams,
+                          budget: SearchBudget | None = None) -> ExtremalReport:
     """Maximize edges over non-r-colorable book-free graphs of order n by
     isomorphism-free vertex-incremental search.
 
-    Pruning: (i) when edge_bound is set, a branch dies once its edges plus
-    the complete-join capacity of the undecided vertices (internally capped
-    by the Turán bound that book-freeness forces) cannot tie the incumbent;
-    (ii) book containment is checked incrementally on each added vertex;
-    (iii) the incumbent starts from the constructed families, giving a
-    certified lower bound.  Ties with the incumbent are never pruned, so the
-    full extremal set survives.
+    Pruning: (i) a branch dies once its edges plus the complete-join
+    capacity of the undecided vertices (internally capped by the Turán bound
+    that book-freeness forces) cannot tie the incumbent; (ii) book
+    containment is checked incrementally on each added vertex; (iii) the
+    incumbent starts from the constructed families, giving a certified lower
+    bound.  Ties with the incumbent are never pruned, so the full extremal
+    set survives.  enumerate_extremal walks the same tree unpruned and is
+    the reference these rules are tested against.
 
     Every class is a work unit: each class of order below the split depth
     is expanded by one order, and each class at the split depth is searched
@@ -353,7 +352,7 @@ def branch_bound_extremal(params: CaseParams, budget: SearchBudget | None = None
     with (get_context("fork").Pool(processes=budget.workers)
           if budget.workers > 1 else nullcontext()) as pool:
         for stop in [*range(2, depth + 1), n]:
-            unit_args = [(rows, e, stop, n, r, k, inc0, caps, edge_bound,
+            unit_args = [(rows, e, stop, n, r, k, inc0, caps,
                           budget.node_limit) for rows, e in level]
             if pool is not None and len(unit_args) > 1:
                 results = pool.map(_bb_unit, unit_args)

@@ -3,10 +3,9 @@ from itertools import combinations
 
 import networkx as nx
 
-from bookturan.canon import (canonical_form, canonical_graph,
-                             canonical_permutation, dedup_by_isomorphism,
-                             is_isomorphic)
-from bookturan.graphs import from_edges, disjoint_union, empty_graph, relabel
+from bookturan.canon import (_twin_roots, canon_rows, canonical_form,
+                             dedup_by_isomorphism, is_isomorphic)
+from bookturan.graphs import Graph, empty_graph, from_edges, relabel
 
 from test_graphs import random_graph
 
@@ -19,11 +18,10 @@ def test_c5_relabelings_agree():
 
 
 def test_distinguishes_same_degree_sequence():
-    k3k1 = disjoint_union(from_edges(3, [(0, 1), (1, 2), (0, 2)]), empty_graph(1))
+    k3k1 = from_edges(4, [(0, 1), (1, 2), (0, 2)])
     p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     c6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    two_k3 = disjoint_union(from_edges(3, [(0, 1), (1, 2), (0, 2)]),
-                            from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    two_k3 = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert canonical_form(k3k1) != canonical_form(p4)
     assert not is_isomorphic(c6, two_k3)  # same degree sequence, 2-regular
     k22 = from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -44,8 +42,9 @@ def test_canonical_graph_is_a_relabeling():
     rnd = random.Random(12)
     for _ in range(100):
         g = random_graph(rnd, rnd.randrange(1, 11))
-        cg = canonical_graph(g)
-        assert relabel(g, canonical_permutation(g)) == cg
+        rows, perm = canon_rows(g.rows)
+        cg = Graph(rows)
+        assert relabel(g, perm) == cg
         assert cg.edge_count() == g.edge_count()
         assert canonical_form(cg) == canonical_form(g)
 
@@ -117,3 +116,40 @@ def test_large_structured_join_fast():
     perm = list(range(g.order))
     random.Random(15).shuffle(perm)
     assert canonical_form(g) == canonical_form(relabel(g, perm))
+
+
+def twin_classes_by_closure(rows):
+    # pairwise twin relation (equal open or equal closed rows), closed
+    # transitively by repeated merging
+    n = len(rows)
+    classes = [{v} for v in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u] == rows[v] or rows[u] | 1 << u == rows[v] | 1 << v:
+                cu = next(c for c in classes if u in c)
+                cv = next(c for c in classes if v in c)
+                if cu is not cv:
+                    cu |= cv
+                    classes.remove(cv)
+    return {frozenset(c) for c in classes}
+
+
+def test_twin_roots_match_pairwise_closure():
+    from bookturan.constructions import c5_blowup, complete_multipartite
+    from bookturan.graphs import join
+    from bookturan.search import generate_graphs
+    graphs = [g for n in range(8) for g in generate_graphs(n)]
+    rnd = random.Random(16)
+    for _ in range(300):
+        graphs.append(random_graph(rnd, rnd.randrange(1, 16), rnd.random()))
+        prof = [rnd.randrange(1, 4) for _ in range(5)]
+        parts = [rnd.randrange(1, 4) for _ in range(rnd.randrange(0, 3))]
+        g = join(c5_blowup(prof), complete_multipartite(parts))
+        perm = list(range(g.order))
+        rnd.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    for g in graphs:
+        roots = _twin_roots(g.rows)
+        classes = {frozenset(v for v in range(g.order) if roots[v] == root)
+                   for root in roots}
+        assert classes == twin_classes_by_closure(g.rows), g.rows

@@ -47,6 +47,15 @@ def test_construct_turan(capsys):
     assert is_isomorphic(g, turan_graph(10, 3))
 
 
+def test_construct_large_twin_class_needs_no_recursion(capsys):
+    # the canonical labelling individualizes a twin cell one vertex per
+    # level, so T(1100, 1) = E_1100 is 1100 levels deep
+    code, out, _ = run_cli(capsys, "construct", "--family", "turan",
+                           "--n", "1100", "--r", "1")
+    assert code == 0
+    assert out == encode_graph6(empty_graph(1100)) + "\n"
+
+
 def test_construct_c5blowup(capsys):
     code, out, _ = run_cli(capsys, "construct", "--family", "c5blowup",
                            "--profile", "1,1,1,1,1")

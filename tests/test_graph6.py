@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bookturan.graph6 import Graph6Error, decode_graph6, encode_graph6
 from bookturan.graphs import from_edges, empty_graph
@@ -72,3 +73,30 @@ def test_decode_errors_name_offset():
     with pytest.raises(Graph6Error, match="padding"):
         # order 2: only the top bit of the data byte is meaningful
         decode_graph6("A" + chr(63 + 0b010000))
+
+
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+def _sized_line(n):
+    # an order byte followed by exactly the data bytes that order needs
+    need = (n * (n - 1) // 2 + 5) // 6
+    return st.text(GRAPH6_CHARS, min_size=need, max_size=need).map(
+        lambda data: chr(63 + n) + data)
+
+
+@settings(derandomize=True, database=None, max_examples=600)
+@given(st.one_of(
+    st.binary(max_size=40), st.text(max_size=40),
+    st.tuples(st.sampled_from(["", ">>graph6<<"]),
+              st.one_of(st.text(GRAPH6_CHARS, max_size=40),
+                        st.integers(0, 20).flatmap(_sized_line)),
+              st.sampled_from(["", "\n", "\r\n"])).map("".join)))
+def test_decoder_raises_only_graph6_error(line):
+    # arbitrary bytes and text, plus lines over the graph6 alphabet, some
+    # sized to their order field so that whole graphs decode as well
+    try:
+        g = decode_graph6(line)
+    except Graph6Error:
+        return
+    g.validate()

@@ -1,6 +1,6 @@
 """Stdlib stand-ins for a linter: every module uses each name it imports,
-every function and class of the package is used somewhere, and every CLI
-option is exercised.
+every function and class of the package is used somewhere, the public
+surface is reached by the program itself, and every CLI option is exercised.
 
 The package's ``__init__.py`` is skipped by the import check: its imports
 are the public API.
@@ -85,6 +85,52 @@ def test_every_package_definition_is_referenced():
     assert unreferenced_definitions(
         [p.read_text() for p in package],
         [p.read_text() for p in package + TESTS + BENCH]) == []
+
+
+# Definitions that nothing in the program reaches but that stay on purpose,
+# each as a reference oracle or invariant check for the tests.
+SURFACE_KEEP = {
+    "blowup_edge_count": "brute-force reference for the family optimizer's"
+                         " blow-up sweep",
+    "is_color_critical": "checks the paper's remark that B_{r,k} is"
+                         " colour-critical",
+    "from_edges": "the tests' graph builder; it validates its edge list",
+    "validate": "the Graph invariant check applied to joins and malformed"
+                " rows",
+}
+
+
+def unreached_surface(root: Path) -> list[str]:
+    """Package definitions that neither the package modules (other than
+    __init__.py), nor bench/, nor tests/test_acceptance.py mention."""
+    package = sorted((root / "src" / "bookturan").glob("*.py"))
+    reaching = ([p for p in package if p.name != "__init__.py"]
+                + sorted((root / "bench").glob("*.py"))
+                + [root / "tests" / "test_acceptance.py"])
+    return unreferenced_definitions([p.read_text() for p in package],
+                                    [p.read_text() for p in reaching])
+
+
+def test_surface_checker_reads_only_program_sources(tmp_path):
+    files = {"src/bookturan/__init__.py": "from .m import test_only\n",
+             "src/bookturan/m.py": ("def engine(): pass\ndef helper(): pass\n"
+                                    "def accepted(): pass\n"
+                                    "def test_only(): pass\nhelper()\n"),
+             "bench/run.py": "from bookturan.m import engine\n",
+             "tests/test_acceptance.py": "from bookturan.m import accepted\n",
+             "tests/test_m.py": "from bookturan.m import test_only\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unreached_surface(tmp_path) == ["test_only"]
+
+
+def test_public_surface_is_reached():
+    found = set(unreached_surface(ROOT))
+    extra = sorted(found - SURFACE_KEEP.keys())
+    assert not extra, f"reached only by tests, not on the keep-list: {extra}"
+    stale = sorted(SURFACE_KEEP.keys() - found)
+    assert not stale, f"on the keep-list but reached by the program: {stale}"
 
 
 def test_every_cli_option_appears_in_cli_tests():
