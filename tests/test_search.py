@@ -88,8 +88,19 @@ def test_bb_agrees_with_enumeration():
             assert bb.exhaustive and enum.exhaustive
             assert bb.optimum == enum.optimum, (n, k)
             assert bb.extremal_canon == enum.extremal_canon, (n, k)
-            # enumeration walks the same tree with no edge-capacity prune
-            assert bb.nodes <= enum.nodes, (n, k)
+
+
+def test_bb_pruning_soundness():
+    # the edge-capacity prune must not change any report content; enumeration
+    # walks the same tree with no prune, so it is the unpruned reference
+    for n in (6, 7):
+        for k in (1, 2):
+            params = CaseParams(n, 3, k)
+            pruned = branch_bound_extremal(params)
+            unpruned = enumerate_extremal(params)
+            assert pruned.optimum == unpruned.optimum
+            assert pruned.extremal_canon == unpruned.extremal_canon
+            assert pruned.nodes <= unpruned.nodes
 
 
 def test_bb_incumbent_is_valid_and_certifies_lower_bound():
