@@ -10,13 +10,17 @@ is the first leaf, in depth-first order, whose relabelled adjacency rows
 compare smallest, so equal canonical forms certify isomorphism and distinct
 forms refute it.
 
-The search walks an explicit stack rather than recursing: a twin cell is
-individualized one vertex per level, so an empty or complete graph on n
-vertices is n levels deep.
+The search starts from the refined root partition.  canon computes it
+once per graph, so canonical augmentation can reject an extension on that
+partition alone and hand the others to canon_rows without refining them
+twice.  It walks an explicit stack rather than recursing, so a deep search
+needs no call stack.
 
 Twin pruning is what keeps large blow-up joins tractable: their refinement
-stabilizes with one cell per interchangeable vertex class, and without the
-pruning the search would branch factorially inside those classes.
+stabilizes with one cell per interchangeable vertex class.  A cell whose
+vertices are all twins of each other is split into label-ordered singletons
+at once, with no branching and no refinement (see _label), so an empty or
+complete graph on n vertices costs one refinement, not n.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from collections import deque
 from .graphs import Graph
 
 CanonicalForm = bytes
+Cells = list[list[int]]
 
 
 def _mask_of(vertices: list[int]) -> int:
@@ -56,12 +61,22 @@ def _twin_roots(rows: tuple[int, ...]) -> list[int]:
             for v, row in enumerate(rows)]
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]],
-            queue: deque[int]) -> list[list[int]]:
-    """Refine cells to equitability; queue holds splitter masks to process."""
+def _refine(rows: tuple[int, ...], cells: Cells, queue: deque[int],
+            watch: int = -1) -> Cells | None:
+    """Refine cells to equitability; queue holds splitter masks to process.
+
+    A split cell is replaced in place by its fragments, in ascending order
+    of their neighbour counts, and every cell keeps its vertices in label
+    order.  With a watch vertex, return None as soon as it is not in the
+    last cell: cells only split in place, so a vertex that has left the
+    last cell never returns to it.  Checking before each splitter is
+    enough, because every split queues its fragments as splitters.
+    """
     while queue:
+        if watch >= 0 and watch not in cells[-1]:
+            return None
         smask = queue.popleft()
-        out: list[list[int]] = []
+        out: Cells = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -80,28 +95,41 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]],
     return cells
 
 
-def canon_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (canonical adjacency rows, permutation old-label -> new-label)."""
-    n = len(rows)
-    if n == 0:
-        return (), ()
-    if n == 1:
-        return (0,), (0,)
+def canon(rows: tuple[int, ...], last: int) -> Cells | None:
+    """Refined root partition of rows for canon_rows, or None when vertex
+    last cannot take the last canonical position (last = -1 watches no
+    vertex).
 
+    The root partition is the equitable refinement of the unit partition.
+    Individualization and twin splits replace a cell by pieces in place, so
+    the last canonical vertex always lies in the root's last cell; a vertex
+    outside it is rejected as soon as refinement moves it out.
+    """
+    return _refine(rows, [list(range(len(rows)))],
+                   deque([(1 << len(rows)) - 1]), last)
+
+
+def _label(rows: tuple[int, ...],
+           cells: Cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Best leaf of the search below the refined partition cells.
+
+    A target cell C whose vertices all carry one twin label is split into
+    label-ordered singletons at once, which is exactly the chain the
+    branching search would walk.  C lies in one open-twin or one
+    closed-twin class, so a vertex outside C is adjacent to all of C or to
+    none, and the vertices of C are pairwise all adjacent or all not.
+    Individualizing the first vertex u of C therefore changes no count seen
+    by any cell: refinement splits nothing, and C - u is then the unique
+    smallest non-singleton cell, again with one twin label.
+    """
+    n = len(rows)
     twin = _twin_roots(rows)
     best_rows: list[int] | None = None
     best_perm: list[int] | None = None
     # each entry is (cells, target, v): individualize v in cells[target]
-    # and refine, except the root entry, whose cells are still unrefined
-    stack = [([list(range(n))], 0, -1)]
-    while stack:
-        cells, target, v = stack.pop()
-        if v < 0:
-            cells = _refine(rows, cells, deque([(1 << n) - 1]))
-        else:
-            rest = [u for u in cells[target] if u != v]
-            cells = _refine(rows, cells[:target] + [[v], rest]
-                            + cells[target + 1:], deque([1 << v, _mask_of(rest)]))
+    # and refine
+    stack: list[tuple[Cells, int, int]] = []
+    while True:
         target = -1
         size = n + 1
         for i, cell in enumerate(cells):
@@ -115,27 +143,47 @@ def canon_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
                 if twin[u] not in seen_roots:
                     seen_roots.add(twin[u])
                     branches.append(u)
+            if len(branches) == 1:
+                cells = (cells[:target] + [[u] for u in cells[target]]
+                         + cells[target + 1:])
+                continue
             # pushed in reverse, so branches are explored in label order
             stack.extend((cells, target, u) for u in reversed(branches))
-            continue
-        perm = [0] * n
-        for pos, cell in enumerate(cells):
-            perm[cell[0]] = pos
-        new_rows = [0] * n
-        for u in range(n):
-            acc = 0
-            m = rows[u]
-            while m:
-                lsb = m & -m
-                acc |= 1 << perm[lsb.bit_length() - 1]
-                m ^= lsb
-            new_rows[perm[u]] = acc
-        if best_rows is None or new_rows < best_rows:
-            best_rows = new_rows
-            best_perm = perm
+        else:
+            perm = [0] * n
+            for pos, cell in enumerate(cells):
+                perm[cell[0]] = pos
+            new_rows = [0] * n
+            for u in range(n):
+                acc = 0
+                m = rows[u]
+                while m:
+                    lsb = m & -m
+                    acc |= 1 << perm[lsb.bit_length() - 1]
+                    m ^= lsb
+                new_rows[perm[u]] = acc
+            if best_rows is None or new_rows < best_rows:
+                best_rows = new_rows
+                best_perm = perm
+        if not stack:
+            break
+        cells, target, v = stack.pop()
+        rest = [u for u in cells[target] if u != v]
+        cells = _refine(rows, cells[:target] + [[v], rest] + cells[target + 1:],
+                        deque([1 << v, _mask_of(rest)]))
 
     assert best_rows is not None and best_perm is not None
     return tuple(best_rows), tuple(best_perm)
+
+
+def canon_rows(rows: tuple[int, ...], root: Cells | None = None
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return (canonical adjacency rows, permutation old-label -> new-label).
+
+    root, when given, is canon's refined root partition of these rows; it
+    saves refining them again and changes nothing in the result.
+    """
+    return _label(rows, canon(rows, -1) if root is None else root)
 
 
 def pack_rows(rows: tuple[int, ...]) -> bytes:

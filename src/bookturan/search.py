@@ -16,8 +16,10 @@ each class is produced exactly once globally (children of one parent are
 deduplicated by canonical form).  The canonical labelling orders vertices by
 ascending degree, so the last canonical vertex has maximum degree; only
 extensions whose new vertex has maximum degree in the child are ever built,
-and a child whose new vertex already lands last is accepted without
-canonically labelling its parent again (see _extensions and _children).
+a child whose new vertex is not in the last cell of its equitable
+refinement is rejected before it is labelled, and a child whose new vertex
+already lands last is accepted without canonically labelling its parent
+again (see _extensions and _children).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import get_context
 
-from .canon import canon_rows, dedup_by_isomorphism, pack_rows
+from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
 from .checkers import is_nonpartite_book_free, is_r_colorable
 from .constructions import (c5_blowup, complete_multipartite, dihedral_profile,
                             extremal_family_graphs)
@@ -186,12 +188,28 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     prows must be canonically labelled.  Returns (canonical child rows,
     degree of the appended vertex); only children whose new vertex carries at
     least minpop edges are generated.
+
+    Partition precheck: an extension whose new vertex n leaves the last cell
+    of its equitable refinement is rejected before labelling (canon), since
+    the last canonical vertex always lies in that cell.  Sound: if G is
+    accepted from P, then G - w is isomorphic to P for the last canonical
+    vertex w of G, so P has an extension X that rebuilds G with its new
+    vertex at w.  The ordered refinement is isomorphism-invariant and w lies
+    in G's last cell, so X's new vertex lies in X's last cell; X also passes
+    the degree rule (see _extensions).  Children are deduplicated and
+    accepted on their class alone, so skipping other extensions of G loses
+    nothing.  Only the order of the accepted children can differ from a
+    search without the precheck: each class enters at its first extension
+    that passes.
     """
     n = len(prows)
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
     for crows, t in _extensions(prows, minpop, book, state):
-        ckey, perm = canon_rows(crows)
+        root = canon(crows, n)
+        if root is None:
+            continue
+        ckey, perm = canon_rows(crows, root)
         if ckey in seen:
             continue
         seen.add(ckey)

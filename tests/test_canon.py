@@ -1,11 +1,18 @@
+import hashlib
 import random
+from functools import cache
 from itertools import combinations
 
 import networkx as nx
+from hypothesis import given, settings, strategies as st
 
-from bookturan.canon import (_twin_roots, canon_rows, canonical_form,
+from bookturan.canon import (_twin_roots, canon, canon_rows, canonical_form,
                              dedup_by_isomorphism, is_isomorphic)
-from bookturan.graphs import Graph, empty_graph, from_edges, relabel
+from bookturan.constructions import (c5_blowup, complete_multipartite,
+                                     extremal_family_graphs)
+from bookturan.formulas import CaseParams
+from bookturan.graphs import Graph, empty_graph, from_edges, join, relabel
+from bookturan.search import generate_graphs
 
 from test_graphs import random_graph
 
@@ -110,8 +117,6 @@ def test_empty_and_single():
 
 def test_large_structured_join_fast():
     # blow-up joins at order ~60 must canonicalize without branching blowups
-    from bookturan.constructions import c5_blowup, complete_multipartite
-    from bookturan.graphs import join
     g = join(c5_blowup((18, 9, 1, 1, 10)), complete_multipartite((7, 7, 7)))
     perm = list(range(g.order))
     random.Random(15).shuffle(perm)
@@ -134,22 +139,178 @@ def twin_classes_by_closure(rows):
     return {frozenset(c) for c in classes}
 
 
+def blowup_join(profile, parts):
+    return join(c5_blowup(profile), complete_multipartite(parts))
+
+
+def relabelled_join(rnd):
+    # a blow-up of C5 with parts of size 1..3 joined with a complete
+    # multipartite graph of up to two such parts, randomly relabelled
+    prof = [rnd.randrange(1, 4) for _ in range(5)]
+    parts = [rnd.randrange(1, 4) for _ in range(rnd.randrange(0, 3))]
+    g = blowup_join(prof, parts)
+    perm = list(range(g.order))
+    rnd.shuffle(perm)
+    return relabel(g, perm)
+
+
 def test_twin_roots_match_pairwise_closure():
-    from bookturan.constructions import c5_blowup, complete_multipartite
-    from bookturan.graphs import join
-    from bookturan.search import generate_graphs
     graphs = [g for n in range(8) for g in generate_graphs(n)]
     rnd = random.Random(16)
     for _ in range(300):
         graphs.append(random_graph(rnd, rnd.randrange(1, 16), rnd.random()))
-        prof = [rnd.randrange(1, 4) for _ in range(5)]
-        parts = [rnd.randrange(1, 4) for _ in range(rnd.randrange(0, 3))]
-        g = join(c5_blowup(prof), complete_multipartite(parts))
-        perm = list(range(g.order))
-        rnd.shuffle(perm)
-        graphs.append(relabel(g, perm))
+        graphs.append(relabelled_join(rnd))
     for g in graphs:
         roots = _twin_roots(g.rows)
         classes = {frozenset(v for v in range(g.order) if roots[v] == root)
                    for root in roots}
         assert classes == twin_classes_by_closure(g.rows), g.rows
+
+
+def test_last_canonical_vertex_lies_in_last_root_cell():
+    # the rule canonical augmentation rejects children on: the vertex that
+    # canon_rows puts last lies in the last cell of canon's root partition,
+    # and canon rejects exactly the vertices outside that cell
+    rnd = random.Random(17)
+    graphs = []
+    for n in range(1, 8):
+        for g in generate_graphs(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            graphs.append(relabel(g, perm))
+    graphs += [random_graph(rnd, rnd.randrange(1, 14), rnd.random())
+               for _ in range(500)]
+    graphs += [relabelled_join(rnd) for _ in range(100)]
+    for g in graphs:
+        n = g.order
+        last_cell = canon(g.rows, -1)[-1]
+        _, perm = canon_rows(g.rows)
+        assert perm.index(n - 1) in last_cell, g.rows
+        for v in range(n):
+            assert (canon(g.rows, v) is not None) == (v in last_cell), g.rows
+
+
+def test_canonical_forms_are_pinned():
+    # (rows, perm) of canon_rows over a fixed corpus, hashed: any change to
+    # the cell order of refinement or to the labelling search shows here,
+    # and printed graph6 lines are canonical forms.  The classes are sorted,
+    # so a change of generation order alone does not show.
+    corpus = sorted((g.rows for n in range(1, 8) for g in generate_graphs(n)),
+                    key=lambda rows: (len(rows), rows))
+    rnd = random.Random(18)
+    corpus += [random_graph(rnd, rnd.randrange(1, 16), rnd.random()).rows
+               for _ in range(300)]
+    for r in (3, 4, 5):
+        for n in range(r + 3, 30):
+            for g in extremal_family_graphs(CaseParams(n, r), "theorem14"):
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                corpus.append(relabel(g, perm).rows)
+    digest = hashlib.sha256()
+    for rows in corpus:
+        digest.update(repr(canon_rows(rows)).encode())
+    assert len(corpus) == 1818
+    assert digest.hexdigest() == (
+        "03e15c5aba6f3fa0e8fd11d9c9332de7d3e8a6d3c7cacdcabb44adce26096261")
+
+
+def cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def circulant(n, jumps):
+    return from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+def hypercube(d):
+    return from_edges(1 << d, [(u, u ^ 1 << i) for u in range(1 << d)
+                               for i in range(d) if not u >> i & 1])
+
+
+def kneser(n, k):
+    sets = [set(s) for s in combinations(range(n), k)]
+    return from_edges(len(sets), [(i, j) for i, j in combinations(
+        range(len(sets)), 2) if not sets[i] & sets[j]])
+
+
+def two_cycles(m):
+    return from_edges(2 * m, [(i, (i + 1) % m) for i in range(m)]
+                      + [(m + i, m + (i + 1) % m) for i in range(m)])
+
+
+def prism(m):
+    return from_edges(2 * m, list(two_cycles(m).edges())
+                      + [(i, m + i) for i in range(m)])
+
+
+def torus(m):
+    # C_m x C_m; the 4 x 4 torus is the hypercube Q4
+    return from_edges(m * m, [(m * a + b, m * a + (b + 1) % m)
+                              for a in range(m) for b in range(m)]
+                      + [(m * a + b, m * ((a + 1) % m) + b)
+                         for a in range(m) for b in range(m)])
+
+
+def crown(m):
+    # K_{m,m} minus a perfect matching; the crown on 8 vertices is Q3
+    return from_edges(2 * m, [(i, m + j) for i in range(m)
+                              for j in range(m) if i != j])
+
+
+SYMMETRIC = ([cycle(n) for n in range(3, 41)]
+             + [hypercube(d) for d in (2, 3, 4)]
+             + [kneser(5, 2), kneser(6, 2)])
+
+# pairs of one order and one degree sequence, isomorphic or not; 2C_m
+# stops at m = 10 because its automorphism group makes canon_rows slow (0.4 s
+# at m = 20, as the search prunes no automorphisms beyond twins)
+LOOKALIKES = ([(cycle(2 * m), two_cycles(m)) for m in range(3, 11)]
+              + [(hypercube(3), crown(4)), (hypercube(3), circulant(8, [1, 4])),
+                 (hypercube(4), torus(4)), (kneser(5, 2), prism(5)),
+                 (kneser(6, 2), circulant(15, [1, 2, 4]))])
+
+PROFILES = st.tuples(st.lists(st.integers(1, 3), min_size=5, max_size=5),
+                     st.lists(st.integers(1, 3), max_size=2))
+
+
+def relabelled(g):
+    return st.permutations(range(g.order)).map(lambda perm: relabel(g, perm))
+
+
+@cache
+def form_of(g):
+    return canon_rows(g.rows)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(st.data())
+def test_canon_rows_ignore_labels_on_symmetric_graphs(data):
+    for g in SYMMETRIC:
+        h = data.draw(relabelled(g))
+        assert canon_rows(h.rows)[0] == form_of(g)
+    g = data.draw(PROFILES.map(lambda pp: blowup_join(*pp)))
+    h = data.draw(relabelled(g))
+    assert canon_rows(h.rows)[0] == canon_rows(g.rows)[0]
+
+
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.order))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def join_pairs():
+    # a blow-up join against one whose profile is shuffled: isomorphic
+    # exactly when the shuffle is a rotation or reflection of the pentagon
+    return PROFILES.flatmap(lambda pp: st.tuples(
+        st.just(blowup_join(*pp)),
+        st.permutations(pp[0]).map(lambda prof: blowup_join(prof, pp[1]))))
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(st.data())
+def test_is_isomorphic_agrees_with_networkx_on_lookalikes(data):
+    for g, h in LOOKALIKES + [data.draw(join_pairs())]:
+        h = data.draw(relabelled(h))
+        assert is_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))

@@ -6,6 +6,7 @@ from bookturan.checkers import (contains_generalized_book,
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      family_g3)
 from bookturan.formulas import CaseParams, ex_nonpartite_value
+from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
 from bookturan.search import (BudgetExceeded, SearchBudget,
                               branch_bound_extremal, enumerate_extremal,
@@ -137,6 +138,21 @@ def test_bb_deterministic_across_workers():
             # more nodes than one limit's worth: several units did run
             assert not reports[0].exhaustive
             assert reports[0].nodes > node_limit + 1
+
+
+def test_bb_k3_finding_is_pinned():
+    # a certified finding: at (9,3,3) the exhaustive optimum is 29, above
+    # the closed form 25.  The incumbent rises inside the work units here,
+    # so nodes= depends on the order in which each parent's children are
+    # searched.
+    assert ex_nonpartite_value(CaseParams(9, 3, 3)) == 25
+    for workers in (1, 2):
+        rep = branch_bound_extremal(CaseParams(9, 3, 3),
+                                    SearchBudget(workers=workers))
+        assert rep.format_line() == (
+            "n=9 r=3 k=3 q=3 p=0 method=branch_bound optimum=29 classes=1"
+            " nodes=8836 exhaustive=true")
+        assert [encode_graph6(g) for g in rep.extremal] == ["HLr~v~}"]
 
 
 def test_family_optimizer_examples():
