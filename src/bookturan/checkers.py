@@ -3,7 +3,10 @@ generalized-book containment, exact colorability, chromatic number,
 color-criticality, and the candidacy predicate combining them.
 
 Containment is ordinary subgraph containment (not induced): the pages of an
-embedded book may be adjacent to each other in the host.
+embedded book may be adjacent to each other in the host.  A book is found by
+one clique walk (_book_clique), which also serves the search's incremental
+book test; the witness names the first spine in descending label order and
+its k lowest common neighbours as pages.
 """
 
 from __future__ import annotations
@@ -111,51 +114,52 @@ def contains_clique(g: Graph, r: int) -> frozenset[int] | None:
     return frozenset(out)
 
 
-def _clique_common(rows: tuple[int, ...], r: int, k: int):
-    """First r-clique (ascending label order) with >= k common neighbours."""
-    n = len(rows)
+def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
+                 common: int = -1) -> tuple[list[int], int] | None:
+    """First r-clique inside the vertex mask within with at least k common
+    neighbours, as (clique, common neighbourhood), or None.
 
-    def rec(last: int, depth: int, clique: list[int], common: int):
-        if depth == r:
-            if common.bit_count() >= k:
-                pages = []
-                for w in _bits(common):
-                    pages.append(w)
-                    if len(pages) == k:
-                        break
-                return clique, pages
-            return None
-        cand = common if depth else (1 << n) - 1
-        for v in _bits(cand):
-            if v <= last:
-                continue
-            nxt = common & rows[v] if depth else rows[v]
-            need_more = r - depth - 1
-            if need_more > 0 and nxt.bit_count() < need_more:
-                continue
-            res = rec(v, depth + 1, clique + [v], nxt)
-            if res is not None:
-                return res
+    Vertices are taken from the highest label down; a recursive call gets
+    the candidates below and adjacent to every vertex chosen so far, and
+    their common neighbourhood so far (-1 before the first choice).
+    """
+    if r == 1:
+        while within:
+            w = within.bit_length() - 1
+            within ^= 1 << w
+            shared = common & rows[w]
+            if shared.bit_count() >= k:
+                return [w], shared
         return None
-
-    return rec(-1, 0, [], 0)
+    while within.bit_count() >= r:
+        w = within.bit_length() - 1
+        within ^= 1 << w
+        row = rows[w]
+        found = _book_clique(rows, r - 1, k, within & row, common & row)
+        if found is not None:
+            found[0].append(w)
+            return found
+    return None
 
 
 def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
     """Witness of an embedded book with spine size r and k pages, or None.
 
     Containment is decided by the clique/common-neighbourhood pattern: a book
-    embeds iff some r-clique has at least k common outside neighbours.
+    embeds iff some r-clique has at least k common outside neighbours.  The
+    witness is the first such clique in descending label order (the one
+    with the highest top vertex, then the highest next vertex, and so on)
+    with its k lowest common neighbours as pages.
     """
     if r < 2:
         raise ValueError(f"book spine needs r >= 2, got {r}")
     if k < 1:
         raise ValueError(f"book needs k >= 1 pages, got {k}")
-    found = _clique_common(g.rows, r, k)
+    found = _book_clique(g.rows, r, k, (1 << g.order) - 1)
     if found is None:
         return None
-    clique, pages = found
-    return BookWitness(frozenset(clique), frozenset(pages))
+    clique, common = found
+    return BookWitness(frozenset(clique), frozenset(list(_bits(common))[:k]))
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> dict[int, int] | None:

@@ -84,9 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--method", choices=["enumerate", "bb"], required=True)
-    s.add_argument("--workers", type=_positive_int, default=1)
+    s.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes for bb work units (enumerate runs in one)")
     s.add_argument("--node-limit", type=_positive_int,
-                   help="node budget per work unit (a deterministic cut)")
+                   help="node budget per work unit (a deterministic cut); "
+                        "enumerate is one unit")
     s.add_argument("--emit", help="write extremal graphs to this graph6 file")
 
     v = sub.add_parser("verify", help="table comparing formula, families and oracle")
@@ -154,6 +156,10 @@ def _format_vertex_set(vs) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.r < 2:
+        raise DomainError(f"--r must be at least 2 (the book spine), got {args.r}")
+    if args.k < 1:
+        raise DomainError(f"--k must be at least 1 (the pages), got {args.k}")
     try:
         with open(args.input, "rb") as fh:
             lines = fh.read().splitlines()

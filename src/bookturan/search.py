@@ -19,7 +19,10 @@ extensions whose new vertex has maximum degree in the child are ever built,
 a child whose new vertex is not in the last cell of its equitable
 refinement is rejected before it is labelled, and a child whose new vertex
 already lands last is accepted without canonically labelling its parent
-again (see _extensions and _children).
+again (see _extensions and _children).  Book-freeness is kept one vertex at
+a time: a book-free parent gains a book only through the new vertex, so only
+r-cliques inside its closed neighbourhood are tested, with the same clique
+walk that decides book containment in checkers.
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -38,7 +41,7 @@ from itertools import combinations
 from multiprocessing import get_context
 
 from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
-from .checkers import is_nonpartite_book_free, is_r_colorable
+from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (c5_blowup, complete_multipartite, dihedral_profile,
                             extremal_family_graphs)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
@@ -122,35 +125,6 @@ def _child_rows(rows: tuple[int, ...], comb: tuple[int, ...]) -> tuple[int, ...]
     return tuple(new)
 
 
-def _adds_book(rows: tuple[int, ...], v: int, r: int, k: int) -> bool:
-    """Whether the just-added vertex v completes an embedded (r, k) book.
-
-    Any new book must involve v: as a spine vertex (some (r-1)-clique in
-    N(v) whose closure with v has k common neighbours) or as a page (some
-    r-clique inside N(v) with k common neighbours, v being one of them).
-    """
-    nb = rows[v]
-
-    def rec(last: int, depth: int, common: int) -> bool:
-        if depth == r - 1 and (common & nb).bit_count() >= k:
-            return True
-        if depth == r:
-            return common.bit_count() >= k
-        cand = common & nb if depth else nb
-        cand = cand >> last + 1 << last + 1
-        if cand.bit_count() < r - 1 - depth:
-            return False
-        while cand:
-            lsb = cand & -cand
-            cand ^= lsb
-            w = lsb.bit_length() - 1
-            if rec(w, depth + 1, common & rows[w] if depth else rows[w]):
-                return True
-        return False
-
-    return rec(-1, 0, 0)
-
-
 def _extensions(prows: tuple[int, ...], minpop: int,
                 book: tuple[int, int] | None,
                 state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -170,6 +144,14 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     alone, so skipping the other neighbourhoods of the same class loses
     nothing.  The BB leaf level and the minpop edge bound follow the same
     canonical-deletion chain, so they keep every class they kept.
+
+    Book rule: a child is kept iff no r-clique inside the closed
+    neighbourhood N[n] of the new vertex n has k common neighbours.  The
+    parent is book-free, so every book of the child uses n: as a spine
+    vertex, and then the spine lies in N[n], or as a page, and then the
+    spine lies in N(n).  Conversely an r-clique with k common neighbours is
+    the spine of a book wherever it lies.  The clique walk takes n, the top
+    label, first.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
@@ -177,7 +159,8 @@ def _extensions(prows: tuple[int, ...], minpop: int,
         for comb in combinations([u for u in range(n) if degs[u] < t], t):
             state.tick()
             crows = _child_rows(prows, comb)
-            if book is None or not _adds_book(crows, n, *book):
+            if book is None or _book_clique(
+                    crows, *book, crows[n] | 1 << n) is None:
                 yield crows, t
 
 

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bookturan.checkers import (BookWitness, chromatic_number, contains_clique,
+from bookturan.checkers import (BookWitness, _book_clique, chromatic_number,
+                                contains_clique,
                                 contains_generalized_book, contains_subgraph,
                                 greedy_clique, is_color_critical,
                                 is_nonpartite_book_free, is_r_colorable)
@@ -11,7 +13,8 @@ from bookturan.constructions import (c5_blowup, complete_multipartite,
                                      generalized_book, turan_graph)
 from bookturan.formulas import CaseParams
 from bookturan.constructions import family_g2
-from bookturan.graphs import empty_graph, from_edges, join
+from bookturan.graphs import Graph, empty_graph, from_edges, join
+from bookturan.search import _child_rows, generate_graphs
 
 from test_graphs import random_graph
 
@@ -70,6 +73,10 @@ def test_contains_book_examples():
     w = contains_generalized_book(K5, 3, 2)
     assert w is not None
     check_book_witness(K5, w, 3, 2)
+    # the first spine in descending label order, its lowest common neighbours
+    assert w == BookWitness(frozenset({2, 3, 4}), frozenset({0, 1}))
+    assert contains_generalized_book(K5, 3, 1) == BookWitness(
+        frozenset({2, 3, 4}), frozenset({0}))
     b32 = generalized_book(3, 2)
     assert contains_generalized_book(b32, 3, 2) is not None
     assert contains_generalized_book(W7, 3, 1) is None
@@ -114,6 +121,42 @@ def test_book_agrees_with_subgraph_oracle_small():
                 pattern = generalized_book(r, k)
                 assert ((contains_generalized_book(g, r, k) is not None)
                         == (contains_subgraph(g, pattern) is not None))
+
+
+def test_book_through_new_vertex_lies_in_its_closed_neighbourhood():
+    # the search's incremental book test: a book-free parent gains a book
+    # exactly when some r-clique inside N[n] of the new vertex n has k
+    # common neighbours
+    for r, k in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        pattern = generalized_book(r, k)
+        for n in range(0, 6):
+            for parent in generate_graphs(n, (r, k)):
+                for t in range(n + 1):
+                    for comb in combinations(range(n), t):
+                        rows = _child_rows(parent.rows, comb)
+                        walked = _book_clique(rows, r, k, rows[n] | 1 << n)
+                        embedded = contains_subgraph(Graph(rows), pattern)
+                        assert (walked is None) == (embedded is None), \
+                            (parent.rows, comb, r, k)
+
+
+@st.composite
+def small_graphs(draw, max_order=9):
+    n = draw(st.integers(0, max_order))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return from_edges(n, [e for e, b in zip(pairs, keep) if b])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(2, 4), st.integers(1, 3))
+def test_book_checker_agrees_with_subgraph_oracle(g, r, k):
+    w = contains_generalized_book(g, r, k)
+    assert ((w is None)
+            == (contains_subgraph(g, generalized_book(r, k)) is None))
+    if w is not None:
+        check_book_witness(g, w, r, k)
 
 
 def test_coloring_examples():

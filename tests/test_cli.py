@@ -179,6 +179,23 @@ def test_check_malformed_line_reports_line_number(tmp_path, capsys):
     assert err == "error: line 2: non-ASCII byte at offset 1\n"
 
 
+def test_check_rejects_spine_and_page_counts_before_reading(tmp_path, capsys):
+    # an empty file has no graph to reach the checkers with, and a missing
+    # one is never opened: the error names the option
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    for path in (empty, tmp_path / "missing.g6"):
+        for r, k, option in (("1", "1", "--r"), ("0", "1", "--r"),
+                             ("3", "0", "--k"), ("3", "-2", "--k")):
+            code, out, err = run_cli(capsys, "check", "--input", str(path),
+                                     "--r", r, "--k", k)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {option} must be at least"), err
+    code, out, _ = run_cli(capsys, "check", "--input", str(empty),
+                           "--r", "2", "--k", "1")
+    assert code == 0 and out == ""
+
+
 def test_search_enumerate(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "7", "--r", "3",
                            "--k", "1", "--method", "enumerate")
