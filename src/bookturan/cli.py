@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .canon import dedup_by_isomorphism
 from .checkers import contains_generalized_book, is_r_colorable
@@ -192,18 +193,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     params = CaseParams(args.n, args.r, args.k)
     budget = SearchBudget(node_limit=args.node_limit, workers=args.workers)
-    if args.method == "enumerate":
-        report = enumerate_extremal(params, budget)
-    else:
-        report = branch_bound_extremal(params, budget)
-    print(report.format_line())
-    lines = [encode_graph6(g) for g in report.extremal]
-    if args.emit:
-        with open(args.emit, "w", encoding="ascii") as fh:
-            fh.writelines(line + "\n" for line in lines)
-    else:
-        for line in lines:
-            print(line)
+    try:  # before the search, so a bad path costs no search time
+        emit = open(args.emit, "w", encoding="ascii") if args.emit else None
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.emit}: {exc}") from None
+    with emit or nullcontext():
+        if args.method == "enumerate":
+            report = enumerate_extremal(params, budget)
+        else:
+            report = branch_bound_extremal(params, budget)
+        print(report.format_line())
+        (emit or sys.stdout).writelines(
+            encode_graph6(g) + "\n" for g in report.extremal)
     return 0
 
 

@@ -122,7 +122,7 @@ def extremal_case(params: CaseParams, mode: str = "theorem1") -> ExtremalCase:
         if mode == "theorem1":
             raise ValueError(
                 f"q={q} is below the asymptotic regime of the book-graph case"
-                " table; use mode='theorem14'")
+                " table; the theorem14 table covers every q >= 1")
         return ExtremalCase(CASE_SMALL_Q, (FAMILY_C5_JOIN,))
     if p == 0:
         return ExtremalCase(CASE_G1_G2, (FAMILY_G1, FAMILY_G2))

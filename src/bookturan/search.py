@@ -7,7 +7,10 @@ cross-check each other:
   orders;
 * branch-and-bound edge maximization over book-free classes, seeded with the
   constructed families as certified incumbents, for moderate orders;
-* an exhaustive optimizer over blow-up/join family shapes for any order.
+* an optimizer over blow-up/join family shapes for any order: it sweeps
+  the split and the pentagon blow-up profile exhaustively, and takes the
+  join part as the balanced Turan graph T_{r-2}, the only edge maximizer
+  among complete (r-2)-partite graphs by Turan's theorem.
 
 Generation uses canonical augmentation: a child produced by appending one
 vertex is kept iff deleting the vertex at the *last canonical position*
@@ -37,13 +40,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from multiprocessing import get_context
 
 from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
-from .constructions import (c5_blowup, complete_multipartite, dihedral_profile,
-                            extremal_family_graphs)
+from .constructions import (c5_blowup, dihedral_profile,
+                            extremal_family_graphs, turan_graph)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from .graphs import Graph, join
 
@@ -372,9 +376,7 @@ def branch_bound_extremal(params: CaseParams,
                           extremal=extremal, exhaustive=exhaustive, nodes=nodes)
 
 
-_BLOWUP_OPT: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-
-
+@cache
 def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Maximum edge count over pentagon blow-ups with positive parts summing
     to m, together with every maximizing profile up to dihedral symmetry.
@@ -386,9 +388,6 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     if m < 5:
         raise ValueError(f"blow-up needs at least 5 vertices, got {m}")
-    cached = _BLOWUP_OPT.get(m)
-    if cached is not None:
-        return cached
     best = -1
     winners: list[tuple[int, ...]] = []
     for a in range(1, m - 3):
@@ -407,27 +406,7 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
                         winners = []
                     winners.append((a, b, c, t, w - t))
     profiles = {dihedral_profile(prof) for prof in winners}
-    result = (best, tuple(sorted(profiles)))
-    _BLOWUP_OPT[m] = result
-    return result
-
-
-def _partitions_exact(w: int, parts: int) -> list[tuple[int, ...]]:
-    """Partitions of w into exactly `parts` positive parts, descending."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, left: int, maxpart: int, acc: list[int]) -> None:
-        if left == 1:
-            if 1 <= remaining <= maxpart:
-                out.append(tuple(acc + [remaining]))
-            return
-        first = min(maxpart, remaining - left + 1)
-        for x in range(first, 0, -1):
-            rec(remaining - x, left - 1, x, acc + [x])
-
-    if parts >= 1 and w >= parts:
-        rec(w, parts, w, [])
-    return out
+    return best, tuple(sorted(profiles))
 
 
 def family_optimizer(n: int, r: int) -> ExtremalReport:
@@ -438,39 +417,29 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
     independent route against which the named families are checked.  The
     report's exhaustive flag stays False: the sweep certifies the optimum
     over the family shape, not over all candidate graphs.
+
+    The split m = |G1| and the blow-up profile are swept exhaustively.  G2
+    is not: by Turan's theorem the balanced T_{r-2}(n - m) is the only edge
+    maximizer among complete (r-2)-partite graphs on n - m vertices, since
+    moving one vertex from a part of size a to a part of size b <= a - 2
+    gains a - b - 1 > 0 edges.  So each split scores
+    e(G1) + e(T_{r-2}(n - m)) + m(n - m), and every maximizer joins a best
+    blow-up with that Turan graph.
     """
     if r < 3:
         raise ValueError(f"need r >= 3, got {r}")
     if n < r + 3:
         raise ValueError(f"need n >= r + 3, got n={n}, r={r}")
-    per_m: dict[int, tuple[int, tuple[tuple[int, ...], ...],
-                           tuple[tuple[int, ...], ...]]] = {}
-    best_total: int | None = None
-    for m in range(5, n - (r - 2) + 1):
-        w = n - m
-        blow_val, profiles = _blowup_optimum(m)
-        part_list = _partitions_exact(w, r - 2)
-        if not part_list:
-            continue
-        part_val = max((w * w - sum(t * t for t in p)) // 2 for p in part_list)
-        winners = tuple(p for p in part_list
-                        if (w * w - sum(t * t for t in p)) // 2 == part_val)
-        total = blow_val + part_val + m * w
-        per_m[m] = (total, profiles, winners)
-        if best_total is None or total > best_total:
-            best_total = total
-    assert best_total is not None
-    graphs: list[Graph] = []
-    for total, profiles, parts_list in per_m.values():
-        if total != best_total:
-            continue
-        for prof in profiles:
-            core = c5_blowup(prof)
-            for parts in parts_list:
-                graphs.append(join(core, complete_multipartite(parts)))
+    splits = range(5, n - (r - 2) + 1)
+    totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
+              + m * (n - m) for m in splits}
+    best = max(totals.values())
+    graphs = [join(c5_blowup(prof), turan_graph(n - m, r - 2))
+              for m in splits if totals[m] == best
+              for prof in _blowup_optimum(m)[1]]
     extremal = tuple(dedup_by_isomorphism(graphs))
     return ExtremalReport(params=CaseParams(n, r), method="family_optimizer",
-                          optimum=best_total, extremal=extremal,
+                          optimum=best, extremal=extremal,
                           exhaustive=False, nodes=0)
 
 

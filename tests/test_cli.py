@@ -117,6 +117,7 @@ def test_eval(capsys):
 def test_eval_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--n", "8", "--r", "3")
     assert code == 1 and "asymptotic" in err
+    assert "theorem14" in err and "mode='" not in err
     code, _, err = run_cli(capsys, "eval", "--n", "5", "--r", "3")
     assert code == 1
 
@@ -217,6 +218,16 @@ def test_search_emit_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 1
     assert decode_graph6(lines[0]).edge_count() == 15
+
+
+def test_search_emit_unwritable_path_is_a_domain_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "out.g6", tmp_path):
+        code, out, err = run_cli(capsys, "search", "--n", "7", "--r", "3",
+                                 "--k", "1", "--method", "bb",
+                                 "--emit", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 def test_search_workers_byte_identical(capsys):

@@ -3,8 +3,9 @@ import pytest
 from bookturan.canon import canon_rows, canonical_form, is_isomorphic, pack_rows
 from bookturan.checkers import contains_subgraph, is_nonpartite_book_free
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
-                                     family_g3, generalized_book)
-from bookturan.formulas import CaseParams, ex_nonpartite_value
+                                     family_g3, generalized_book,
+                                     turan_part_sizes)
+from bookturan.formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
 from bookturan.search import (BudgetExceeded, SearchBudget,
@@ -200,6 +201,30 @@ def test_family_optimizer_blowup_sweep_matches_brute_force():
         assert set(profiles) == winners, m
 
 
+def test_turan_partition_is_the_only_multipartite_maximizer():
+    # family_optimizer takes the join part straight from Turan's theorem;
+    # check that claim against every partition of w into exactly `parts`
+    def partitions(w, parts, cap):
+        if parts == 1:
+            if 1 <= w <= cap:
+                yield (w,)
+            return
+        for x in range(min(cap, w - parts + 1), 0, -1):
+            for rest in partitions(w - x, parts - 1, x):
+                yield (x,) + rest
+
+    assert sum(1 for parts in range(1, 21)
+               for _ in partitions(20, parts, 20)) == 627  # p(20)
+    for w in range(1, 21):
+        for parts in range(1, min(w, 6) + 1):
+            edges = {p: (w * w - sum(t * t for t in p)) // 2
+                     for p in partitions(w, parts, w)}
+            best = max(edges.values())
+            assert best == turan_edge_count(w, parts), (w, parts)
+            assert [p for p, e in edges.items() if e == best] == \
+                [turan_part_sizes(w, parts)], (w, parts)
+
+
 def test_verify_rows_agree_small():
     rows = verify_theorem(3, 1, 7, 8, mode="theorem14")
     assert [r.verdict for r in rows] == ["AGREE", "AGREE"]
@@ -224,6 +249,25 @@ def test_verify_family_optimizer_only_rows():
     assert all(r.verdict == "AGREE" for r in rows)
     assert all(r.oracle is None for r in rows)
     assert all("oracle=- exhaustive=-" in r.format_line() for r in rows)
+
+
+def test_verify_r6_small_quotient_rows_are_pinned():
+    # findings, not failures: for r = 6 the theorem14 closed form overshoots
+    # the family optimizer up to n = 12 and agrees from n = 13 on
+    lines = [rec.format_line()
+             for rec in verify_theorem(6, 1, 9, 20, mode="theorem14")]
+    assert lines[:4] == [
+        "n=9 r=6 k=1 q=1 p=3 formula=33 family_opt=31"
+        " oracle=- exhaustive=- verdict=DISAGREE",
+        "n=10 r=6 k=1 q=1 p=4 formula=41 family_opt=39"
+        " oracle=- exhaustive=- verdict=DISAGREE",
+        "n=11 r=6 k=1 q=1 p=5 formula=50 family_opt=48"
+        " oracle=- exhaustive=- verdict=DISAGREE",
+        "n=12 r=6 k=1 q=2 p=0 formula=59 family_opt=58"
+        " oracle=- exhaustive=- verdict=DISAGREE",
+    ]
+    assert len(lines) == 12
+    assert all(line.endswith("verdict=AGREE") for line in lines[4:])
 
 
 def test_verify_rejects_bad_input():
