@@ -25,7 +25,11 @@ already lands last is accepted without canonically labelling its parent
 again (see _extensions and _children).  Book-freeness is kept one vertex at
 a time: a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
-walk that decides book containment in checkers.
+walk that decides book containment in checkers.  Branch-and-bound follows
+the same chain and bounds what a prefix P can still gain: every later
+vertex v keeps G[P + v] book-free, so it has at most M(P) neighbours in P,
+where M(P) is the largest degree of a book-free one-vertex extension of P
+(see _max_free_degree and _bb_unit).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -263,11 +267,65 @@ def enumerate_extremal(params: CaseParams,
                           nodes=state.nodes)
 
 
-def _future_cap(m: int, parts: int) -> int:
-    # max internal edges on m future vertices, Turán-capped by book-freeness
-    if m <= 1:
-        return 0
-    return turan_edge_count(m, min(parts, m))
+def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
+                     hint: int, floor: int) -> int:
+    """M(P): the largest degree of a new vertex v that leaves P + v free of
+    B_{r,k}, with no degree rule.  hint must be at least M(P).  When M(P) is
+    below floor, the result is some value below floor instead; the caller
+    builds no child then, whatever M(P) is.  No test ticks a node counter.
+
+    M(P) = j - d, where d is the fewest vertices to drop from N(v) = P to
+    leave P + v book-free.  P is book-free, so every book of P + v uses v:
+    as a page of an r-clique inside N(v) with k - 1 common neighbours in P,
+    or on the spine beside an (r - 1)-clique inside N(v) with k common
+    neighbours in N(v).  Its edges at v end in its spine, or in its other
+    spine vertices and k pages; the book survives unless one of those is
+    dropped.  So the search finds a book and branches on which of those at
+    most r + k - 1 vertices to drop; a later branch keeps every vertex an
+    earlier sibling dropped, so no drop set is tried twice.  The budget of
+    drops rises from j - hint, since d >= j - hint, so M = hint, hint - 1,
+    ... are tried in turn, until the neighbourhood is book-free or the
+    budget passes j - floor.  Books found are kept per neighbourhood,
+    because each larger budget walks the same neighbourhoods again.
+    """
+    j = len(prows)
+    books: dict[int, int] = {}
+
+    def book_at_v(nbhd: int) -> int:
+        # the vertices of one book of P + v whose edges at v it uses, or 0
+        if nbhd not in books:
+            pages = 0
+            found = _book_clique(prows, r, k - 1, nbhd)
+            if found is None:
+                found = _book_clique(prows, r - 1, k, nbhd, nbhd)
+                if found is not None:
+                    rest = found[1]
+                    for _ in range(k):
+                        rest &= rest - 1
+                    pages = found[1] ^ rest
+            books[nbhd] = 0 if found is None else pages | sum(
+                1 << u for u in found[0])
+        return books[nbhd]
+
+    def clears(nbhd: int, keep: int, budget: int) -> bool:
+        hit = book_at_v(nbhd)
+        if not hit:
+            return True
+        if budget == 0:
+            return False
+        hit &= ~keep
+        while hit:
+            u = hit.bit_length() - 1
+            hit ^= 1 << u
+            if clears(nbhd & ~(1 << u), keep, budget - 1):
+                return True
+            keep |= 1 << u
+        return False
+
+    for budget in range(max(j - hint, 0), j - max(floor, 0) + 1):
+        if clears((1 << j) - 1, 0, budget):
+            return j - budget
+    return floor - 1
 
 
 def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
@@ -280,25 +338,56 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     the unit's incumbent.  Each unit starts from the same constructed
     incumbent and shares nothing, so its result is independent of how units
     are assigned to workers.
+
+    Neighbourhood bound.  A class G of order n is reached through its
+    canonical-deletion chain, whose prefix P of order j induces P on the
+    first j vertices of G.  Every later vertex v of G keeps G[P + v]
+    book-free, as an induced subgraph of a book-free graph, so v has at most
+    M(P) = _max_free_degree(P) neighbours in P.  A child of P adds a vertex
+    of degree t; each of the n - j - 1 vertices after it then has at most
+    M(P) + 1 earlier neighbours, the +1 being the child's own new vertex,
+    and they span at most turan_edge_count(n - j - 1, r + k - 1) edges among
+    themselves, since a book-free graph has no K_{r+k}.  So a child with
+    t < local_inc - e - (that capacity) cannot reach the incumbent and is
+    not built.  The cut is strict: a graph with exactly local_inc edges
+    meets the bound at every prefix of its chain, so ties survive and the
+    extremal set is complete.  At the leaf level no vertex follows, and the
+    bound is t >= local_inc - e.
+
+    M(P) is computed once per expanded node, and only once an incumbent
+    exists.  Cutting a book-free extension of a child down to P gives one
+    of P, so M(child) <= M(P) + 1, and that is the hint each child's search
+    starts from; a unit's root starts from its order.  M(P) <= j, so the
+    bound is never weaker than letting every future vertex join all of P.
     """
-    (rows, e0, stop, n, r, k, inc0, caps, node_limit) = args
+    (rows, e0, stop, n, r, k, inc0, node_limit) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
     found: dict[tuple[int, ...], int] = {}
     completed = True
 
-    def dfs(prows: tuple[int, ...], e: int) -> None:
+    def dfs(prows: tuple[int, ...], e: int, hint: int) -> None:
         nonlocal local_inc
         j = len(prows)
-        # at the leaf level caps[n] == 0, so this is local_inc - e there
-        minpop = 0 if local_inc is None else local_inc - e - caps[j + 1]
         if j < n - 1:
+            minpop, child_hint = 0, j + 1
+            if local_inc is not None:
+                rest = n - j - 1
+                gap = local_inc - e - turan_edge_count(rest,
+                                                       min(r + k - 1, rest))
+                # a child has t <= j, so any m with gap - rest * (m + 1) > j
+                # builds none: M(P) matters from ceil((gap - j) / rest) - 1 on
+                m = _max_free_degree(prows, r, k, hint,
+                                     -(-(gap - j) // rest) - 1)
+                minpop = gap - rest * (m + 1)
+                child_hint = m + 1
             for crows, t in _children(prows, minpop, (r, k), state):
                 if j + 1 < stop:
-                    dfs(crows, e + t)
+                    dfs(crows, e + t, child_hint)
                 else:
                     found[crows] = e + t
             return
+        minpop = 0 if local_inc is None else local_inc - e
         for crows, t in _extensions(prows, minpop, (r, k), state):
             ce = e + t
             if local_inc is not None and ce < local_inc:
@@ -311,7 +400,7 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
 
     assert len(rows) < stop <= n, "a work unit grows its class"
     try:
-        dfs(rows, e0)
+        dfs(rows, e0, len(rows))
     except BudgetExceeded:
         completed = False
     return found, state.nodes, completed
@@ -322,9 +411,12 @@ def branch_bound_extremal(params: CaseParams,
     """Maximize edges over non-r-colorable book-free graphs of order n by
     isomorphism-free vertex-incremental search.
 
-    Pruning: (i) a branch dies once its edges plus the complete-join
-    capacity of the undecided vertices (internally capped by the Turán bound
-    that book-freeness forces) cannot tie the incumbent; (ii) book
+    Pruning: (i) a child is not built once its edges plus the neighbourhood
+    bound cannot tie the incumbent: each undecided vertex joins at most
+    M(P) + 1 earlier vertices, M(P) being the largest book-free one-vertex
+    extension degree of the parent P and the +1 the child's own new vertex,
+    and the undecided vertices span at most the Turán number of K_{r+k}
+    among themselves (see _bb_unit for the soundness argument); (ii) book
     containment is checked incrementally on each added vertex; (iii) the
     incumbent starts from the constructed families, giving a certified lower
     bound.  Ties with the incumbent are never pruned, so the full extremal
@@ -349,16 +441,14 @@ def branch_bound_extremal(params: CaseParams,
         return ExtremalReport(params=params, method="branch_bound", optimum=None,
                               extremal=(), exhaustive=True, nodes=0)
 
-    caps = [j * (n - j) + _future_cap(n - j, r + k - 1) for j in range(n + 1)]
-
     depth = max(2, n - 3)
     level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
     nodes, exhaustive = 0, True
     with (get_context("fork").Pool(processes=budget.workers)
           if budget.workers > 1 else nullcontext()) as pool:
         for stop in [*range(2, depth + 1), n]:
-            unit_args = [(rows, e, stop, n, r, k, inc0, caps,
-                          budget.node_limit) for rows, e in level]
+            unit_args = [(rows, e, stop, n, r, k, inc0, budget.node_limit)
+                         for rows, e in level]
             if pool is not None and len(unit_args) > 1:
                 results = pool.map(_bb_unit, unit_args)
             else:

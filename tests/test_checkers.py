@@ -198,33 +198,46 @@ def test_chromatic_examples():
         assert chromatic_number(g) == 4
 
 
+def brute_colorable(g, r):
+    """Plain exhaustive backtracking: colour vertices in label order, each
+    with every colour its earlier neighbours leave free."""
+    colors = []
+
+    def rec(v):
+        if v == g.order:
+            return True
+        for c in range(r):
+            if all(colors[u] != c for u in range(v) if g.has_edge(u, v)):
+                colors.append(c)
+                if rec(v + 1):
+                    return True
+                colors.pop()
+        return False
+
+    return rec(0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_graphs(max_order=8), st.integers(1, 4))
+def test_coloring_decision_matches_brute_force(g, r):
+    w = is_r_colorable(g, r)
+    assert (w is not None) == brute_colorable(g, r)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_graphs(max_order=14), st.integers(1, 6))
+def test_coloring_witness_is_proper(g, r):
+    w = is_r_colorable(g, r)
+    if w is not None:
+        check_coloring(g, w, r)
+
+
 def test_chromatic_brute_force():
     rnd = random.Random(43)
-
-    def brute_chromatic(g):
-        n = g.order
-        for c in range(1, n + 1):
-            # try all assignments (tiny n only)
-            def rec(v):
-                if v == n:
-                    return True
-                for col in range(c):
-                    if all(not g.has_edge(v, u) or colors[u] != col
-                           for u in range(v)):
-                        colors[v] = col
-                        if rec(v + 1):
-                            return True
-                colors[v] = -1
-                return False
-
-            colors = [-1] * n
-            if rec(0):
-                return c
-        return 0
-
     for _ in range(120):
         g = random_graph(rnd, rnd.randrange(1, 8), rnd.random())
-        assert chromatic_number(g) == brute_chromatic(g)
+        assert chromatic_number(g) == next(
+            c for c in range(1, g.order + 1) if brute_colorable(g, c))
 
 
 def test_chromatic_join_additivity():

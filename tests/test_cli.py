@@ -242,16 +242,17 @@ def test_search_workers_byte_identical(capsys):
 
 def test_search_node_limit_truncates_deterministically(capsys):
     # each of the 181 classes that branch-and-bound expands is a unit capped
-    # at 200 nodes: all of them run and 3 are cut (complete: nodes=7760)
+    # at 100 nodes: all of them run and 10 are cut (complete: nodes=4597,
+    # the largest unit 170)
     outs = set()
     for w in ("1", "2"):
         code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",
                                "--k", "2", "--method", "bb",
-                               "--node-limit", "200", "--workers", w)
+                               "--node-limit", "100", "--workers", w)
         assert code == 0
         assert out.splitlines()[0] == (
             "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-            " nodes=7684 exhaustive=false")
+            " nodes=4390 exhaustive=false")
         outs.add(out)
     assert len(outs) == 1
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,18 @@
+from itertools import combinations
+
 import pytest
 
 from bookturan.canon import canon_rows, canonical_form, is_isomorphic, pack_rows
-from bookturan.checkers import contains_subgraph, is_nonpartite_book_free
+from bookturan.checkers import (contains_generalized_book, contains_subgraph,
+                                is_nonpartite_book_free)
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      family_g3, generalized_book,
                                      turan_part_sizes)
 from bookturan.formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
-from bookturan.search import (BudgetExceeded, SearchBudget,
+from bookturan.search import (BudgetExceeded, SearchBudget, _State,
+                              _child_rows, _children, _max_free_degree,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
@@ -83,18 +87,20 @@ def test_enumerate_budget_truncation_is_honest():
 
 
 def test_bb_agrees_with_enumeration():
-    for n in (4, 5, 6, 7, 8):
-        for k in (1, 2):
-            params = CaseParams(n, 3, k)
-            enum = enumerate_extremal(params)
-            bb = branch_bound_extremal(params)
-            assert bb.exhaustive and enum.exhaustive
-            assert bb.optimum == enum.optimum, (n, k)
-            assert bb.extremal_canon == enum.extremal_canon, (n, k)
+    # with k = 3 and r = 4, a neighbourhood bound one edge too tight per
+    # future vertex loses the optimum itself, not only extremal classes
+    rows = [(n, 3, k) for n in (4, 5, 6, 7, 8) for k in (1, 2)]
+    for n, r, k in rows + [(7, 3, 3), (8, 3, 3), (8, 4, 3)]:
+        params = CaseParams(n, r, k)
+        enum = enumerate_extremal(params)
+        bb = branch_bound_extremal(params)
+        assert bb.exhaustive and enum.exhaustive
+        assert bb.optimum == enum.optimum, (n, r, k)
+        assert bb.extremal_canon == enum.extremal_canon, (n, r, k)
 
 
 def test_bb_pruning_soundness():
-    # the edge-capacity prune must not change any report content; enumeration
+    # the neighbourhood bound must not change any report content; enumeration
     # walks the same tree with no prune, so it is the unpruned reference
     for n in (6, 7):
         for k in (1, 2):
@@ -104,6 +110,31 @@ def test_bb_pruning_soundness():
             assert pruned.optimum == unpruned.optimum
             assert pruned.extremal_canon == unpruned.extremal_canon
             assert pruned.nodes <= unpruned.nodes
+
+
+def test_max_free_degree_matches_brute_force():
+    # M(P) against every neighbourhood of every book-free class of order
+    # <= 6, judged by the whole-graph book test; then M(child) <= M(P) + 1
+    # for every accepted child, the step the search's hints rely on
+    for r, k in ((3, 1), (3, 2), (4, 2)):
+        truth: dict[tuple[int, ...], int] = {}
+        for j in range(1, 7):
+            for g in generate_graphs(j, (r, k)):
+                m = max(len(comb) for t in range(j + 1)
+                        for comb in combinations(range(j), t)
+                        if contains_generalized_book(
+                            Graph(_child_rows(g.rows, comb)), r, k) is None)
+                truth[g.rows] = m
+                for hint in range(m, j + 1):
+                    assert _max_free_degree(g.rows, r, k, hint, 0) == m
+                # below a floor the helper only has to say so
+                for floor in range(j + 2):
+                    got = _max_free_degree(g.rows, r, k, j, floor)
+                    assert got == m if m >= floor else got < floor
+        for prows, m in truth.items():
+            if len(prows) < 6:
+                for crows, _ in _children(prows, 0, (r, k), _State(None)):
+                    assert truth[crows] <= m + 1, (r, k, prows, crows)
 
 
 def test_bb_incumbent_is_valid_and_certifies_lower_bound():
@@ -153,7 +184,7 @@ def test_bb_k3_finding_is_pinned():
                                     SearchBudget(workers=workers))
         assert rep.format_line() == (
             "n=9 r=3 k=3 q=3 p=0 method=branch_bound optimum=29 classes=1"
-            " nodes=8836 exhaustive=true")
+            " nodes=7309 exhaustive=true")
         assert [encode_graph6(g) for g in rep.extremal] == ["HLr~v~}"]
 
 
@@ -302,4 +333,9 @@ def test_report_line_shape():
         " nodes=2933 exhaustive=true")
     assert branch_bound_extremal(CaseParams(9, 3, 2)).format_line() == (
         "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-        " nodes=7760 exhaustive=true")
+        " nodes=4597 exhaustive=true")
+    # the bench row: a complete-join cap, which lets every future vertex
+    # join the whole prefix, takes 64,127 nodes here
+    assert branch_bound_extremal(CaseParams(10, 3, 2)).format_line() == (
+        "n=10 r=3 k=2 q=3 p=1 method=branch_bound optimum=31 classes=2"
+        " nodes=20148 exhaustive=true")
