@@ -20,7 +20,10 @@ Twin pruning is what keeps large blow-up joins tractable: their refinement
 stabilizes with one cell per interchangeable vertex class.  A cell whose
 vertices are all twins of each other is split into label-ordered singletons
 at once, with no branching and no refinement (see _label), so an empty or
-complete graph on n vertices costs one refinement, not n.
+complete graph on n vertices costs one refinement, not n.  A leaf relabels
+each distinct adjacency row once and reuses the result for every vertex with
+that row, so a blow-up with a handful of twin classes pays a handful of
+relabellings per leaf, not one per vertex.
 """
 
 from __future__ import annotations
@@ -121,9 +124,17 @@ def _label(rows: tuple[int, ...],
     Individualizing the first vertex u of C therefore changes no count seen
     by any cell: refinement splits nothing, and C - u is then the unique
     smallest non-singleton cell, again with one twin label.
+
+    A leaf costs one relabelling per distinct row, not one per vertex.  The
+    relabelled row of u depends only on rows[u] and the leaf's permutation,
+    so vertices with equal rows (open twins) get equal relabelled rows, and
+    reusing the first one computed changes no leaf's rows: the leaves
+    visited, their order and the comparison between them are those of a
+    per-vertex relabelling.  Twin labels are computed at the first branch,
+    so a graph whose root partition is discrete never needs them.
     """
     n = len(rows)
-    twin = _twin_roots(rows)
+    twin: list[int] | None = None
     best_rows: list[int] | None = None
     best_perm: list[int] | None = None
     # each entry is (cells, target, v): individualize v in cells[target]
@@ -137,6 +148,8 @@ def _label(rows: tuple[int, ...],
                 target = i
                 size = len(cell)
         if target >= 0:
+            if twin is None:
+                twin = _twin_roots(rows)
             seen_roots: set[int] = set()
             branches = []
             for u in cells[target]:
@@ -154,13 +167,17 @@ def _label(rows: tuple[int, ...],
             for pos, cell in enumerate(cells):
                 perm[cell[0]] = pos
             new_rows = [0] * n
-            for u in range(n):
-                acc = 0
-                m = rows[u]
-                while m:
-                    lsb = m & -m
-                    acc |= 1 << perm[lsb.bit_length() - 1]
-                    m ^= lsb
+            relabelled: dict[int, int] = {}
+            for u, row in enumerate(rows):
+                acc = relabelled.get(row)
+                if acc is None:
+                    acc = 0
+                    m = row
+                    while m:
+                        lsb = m & -m
+                        acc |= 1 << perm[lsb.bit_length() - 1]
+                        m ^= lsb
+                    relabelled[row] = acc
                 new_rows[perm[u]] = acc
             if best_rows is None or new_rows < best_rows:
                 best_rows = new_rows

@@ -328,16 +328,18 @@ def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
     return floor - 1
 
 
-def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
+def _bb_unit(args) -> tuple[dict[tuple[int, ...], tuple[int, int]], int,
+                            bool]:
     """Expand one class (a work unit) down to the stop order.
 
-    Returns the canonical rows and edge counts the unit reaches at the stop
-    order, in generation order, with its node count and whether it finished
-    within the node limit.  Below the target order these are the class's
-    accepted children; at the target order they are the leaves that reach
-    the unit's incumbent.  Each unit starts from the same constructed
-    incumbent and shares nothing, so its result is independent of how units
-    are assigned to workers.
+    Returns the canonical rows the unit reaches at the stop order, in
+    generation order, each with its edge count and its hint (see below),
+    together with the unit's node count and whether it finished within the
+    node limit.  Below the target order these are the class's accepted
+    children; at the target order they are the leaves that reach the unit's
+    incumbent.  Each unit starts from the same constructed incumbent and
+    shares nothing, so its result is independent of how units are assigned
+    to workers.
 
     Neighbourhood bound.  A class G of order n is reached through its
     canonical-deletion chain, whose prefix P of order j induces P on the
@@ -357,13 +359,15 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     M(P) is computed once per expanded node, and only once an incumbent
     exists.  Cutting a book-free extension of a child down to P gives one
     of P, so M(child) <= M(P) + 1, and that is the hint each child's search
-    starts from; a unit's root starts from its order.  M(P) <= j, so the
+    starts from, the child's order while M(P) is unknown.  A unit's root
+    starts from the hint its parent unit returned with it; the hint only
+    shortens the search for M, never changes its value.  M(P) <= j, so the
     bound is never weaker than letting every future vertex join all of P.
     """
-    (rows, e0, stop, n, r, k, inc0, node_limit) = args
+    (rows, e0, hint0, stop, n, r, k, inc0, node_limit) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
     completed = True
 
     def dfs(prows: tuple[int, ...], e: int, hint: int) -> None:
@@ -385,7 +389,7 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
                 if j + 1 < stop:
                     dfs(crows, e + t, child_hint)
                 else:
-                    found[crows] = e + t
+                    found[crows] = (e + t, child_hint)
             return
         minpop = 0 if local_inc is None else local_inc - e
         for crows, t in _extensions(prows, minpop, (r, k), state):
@@ -396,11 +400,11 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
                 continue
             if local_inc is None or ce > local_inc:
                 local_inc = ce
-            found[canon_rows(crows)[0]] = ce
+            found[canon_rows(crows)[0]] = (ce, hint + 1)
 
     assert len(rows) < stop <= n, "a work unit grows its class"
     try:
-        dfs(rows, e0, len(rows))
+        dfs(rows, e0, hint0)
     except BudgetExceeded:
         completed = False
     return found, state.nodes, completed
@@ -442,13 +446,14 @@ def branch_bound_extremal(params: CaseParams,
                               extremal=(), exhaustive=True, nodes=0)
 
     depth = max(2, n - 3)
-    level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
+    # (rows, (edges, hint)) per class; the hint bounds M(rows), see _bb_unit
+    level: list[tuple[tuple[int, ...], tuple[int, int]]] = [((0,), (0, 1))]
     nodes, exhaustive = 0, True
     with (get_context("fork").Pool(processes=budget.workers)
           if budget.workers > 1 else nullcontext()) as pool:
         for stop in [*range(2, depth + 1), n]:
-            unit_args = [(rows, e, stop, n, r, k, inc0, budget.node_limit)
-                         for rows, e in level]
+            unit_args = [(rows, e, hint, stop, n, r, k, inc0,
+                          budget.node_limit) for rows, (e, hint) in level]
             if pool is not None and len(unit_args) > 1:
                 results = pool.map(_bb_unit, unit_args)
             else:
@@ -458,7 +463,7 @@ def branch_bound_extremal(params: CaseParams,
             level = [item for res in results for item in res[0].items()]
 
     candidates = {g.rows: g.edge_count() for g in seeds}
-    candidates.update(level)
+    candidates.update((rows, e) for rows, (e, _) in level)
     best = max(candidates.values(), default=None)
     extremal = tuple(Graph(rows) for rows in sorted(
         (rows for rows, e in candidates.items() if e == best), key=pack_rows))

@@ -47,8 +47,19 @@ def test_permutation_invariance_random():
 
 def test_canonical_graph_is_a_relabeling():
     rnd = random.Random(12)
-    for _ in range(100):
-        g = random_graph(rnd, rnd.randrange(1, 11))
+    graphs = [random_graph(rnd, rnd.randrange(1, 11)) for _ in range(100)]
+    # blow-up joins of order 30..60 repeat each row across a twin class, so
+    # every leaf reuses relabelled rows; a stale reuse shows as rows that
+    # are not the input relabelled by perm
+    rnd = random.Random(20)
+    while len(graphs) < 140:
+        g = blowup_join([rnd.randrange(2, 10) for _ in range(5)],
+                        [rnd.randrange(1, 8) for _ in range(rnd.randrange(4))])
+        if 30 <= g.order <= 60:
+            perm = list(range(g.order))
+            rnd.shuffle(perm)
+            graphs.append(relabel(g, perm))
+    for g in graphs:
         rows, perm = canon_rows(g.rows)
         cg = Graph(rows)
         assert relabel(g, perm) == cg
@@ -190,6 +201,26 @@ def test_last_canonical_vertex_lies_in_last_root_cell():
             assert (canon(g.rows, v) is not None) == (v in last_cell), g.rows
 
 
+def relabelled_family_rows(rnd, orders):
+    # theorem14 family members for r = 3, 4, 5 at orders(r), each
+    # relabelled by a permutation drawn from rnd
+    out = []
+    for r in (3, 4, 5):
+        for n in orders(r):
+            for g in extremal_family_graphs(CaseParams(n, r), "theorem14"):
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                out.append(relabel(g, perm).rows)
+    return out
+
+
+def canon_digest(corpus):
+    digest = hashlib.sha256()
+    for rows in corpus:
+        digest.update(repr(canon_rows(rows)).encode())
+    return digest.hexdigest()
+
+
 def test_canonical_forms_are_pinned():
     # (rows, perm) of canon_rows over a fixed corpus, hashed: any change to
     # the cell order of refinement or to the labelling search shows here,
@@ -200,18 +231,19 @@ def test_canonical_forms_are_pinned():
     rnd = random.Random(18)
     corpus += [random_graph(rnd, rnd.randrange(1, 16), rnd.random()).rows
                for _ in range(300)]
-    for r in (3, 4, 5):
-        for n in range(r + 3, 30):
-            for g in extremal_family_graphs(CaseParams(n, r), "theorem14"):
-                perm = list(range(n))
-                rnd.shuffle(perm)
-                corpus.append(relabel(g, perm).rows)
-    digest = hashlib.sha256()
-    for rows in corpus:
-        digest.update(repr(canon_rows(rows)).encode())
+    corpus += relabelled_family_rows(rnd, lambda r: range(r + 3, 30))
     assert len(corpus) == 1818
-    assert digest.hexdigest() == (
+    assert canon_digest(corpus) == (
         "03e15c5aba6f3fa0e8fd11d9c9332de7d3e8a6d3c7cacdcabb44adce26096261")
+
+
+def test_large_family_canonical_forms_are_pinned():
+    # the families at the orders the benchmark reaches, where refinement
+    # leaves a few large twin cells and most rows repeat
+    corpus = relabelled_family_rows(random.Random(19), lambda r: range(30, 46))
+    assert len(corpus) == 507
+    assert canon_digest(corpus) == (
+        "319bc333c7a2b51b3f3dd6899468b385f811e34fb24c7cdb2e3f4d6b1016173d")
 
 
 def cycle(n):
