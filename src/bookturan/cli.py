@@ -3,8 +3,8 @@
 Graphs travel as graph6 lines.  All output is deterministic: identical
 invocations produce byte-identical output, and search reports are identical
 for any worker count.  Exit codes: 0 success, 1 domain error (or a DISAGREE
-verdict under --strict, or a reader that closed the output pipe early, as
-`| head -1` does), 2 usage error.
+verdict under --strict, a reader that closed the output pipe early, as
+`| head -1` does, or a failed write, as to a full disk), 2 usage error.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--method", choices=["enumerate", "bb"], required=True)
     s.add_argument("--workers", type=_positive_int, default=1,
-                   help="processes for bb work units (enumerate runs in one)")
+                   help="processes for bb work units, capped at the usable "
+                        "CPUs (enumerate runs in one)")
     s.add_argument("--node-limit", type=_positive_int,
                    help="node budget per work unit (a deterministic cut); "
                         "enumerate is one unit")
@@ -202,7 +203,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             report = enumerate_extremal(params, budget)
         else:
             report = branch_bound_extremal(params, budget)
-        print(report.format_line())
+        print(report.format_line(), flush=True)  # before any emit failure
         (emit or sys.stdout).writelines(
             encode_graph6(g) + "\n" for g in report.extremal)
     return 0
@@ -243,6 +244,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the flush at exit
         # cannot fail again (the recipe of the Python signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # a failed write, say to a full disk: the same recipe, with a reason
+        print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -41,6 +41,7 @@ parameters and the node limit alone.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -268,11 +269,11 @@ def enumerate_extremal(params: CaseParams,
 
 
 def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
-                     hint: int, floor: int) -> int:
+                     floor: int) -> int:
     """M(P): the largest degree of a new vertex v that leaves P + v free of
-    B_{r,k}, with no degree rule.  hint must be at least M(P).  When M(P) is
-    below floor, the result is some value below floor instead; the caller
-    builds no child then, whatever M(P) is.  No test ticks a node counter.
+    B_{r,k}, with no degree rule.  When M(P) is below floor, the result is
+    some value below floor instead; the caller builds no child then,
+    whatever M(P) is.  No test ticks a node counter.
 
     M(P) = j - d, where d is the fewest vertices to drop from N(v) = P to
     leave P + v book-free.  P is book-free, so every book of P + v uses v:
@@ -283,10 +284,11 @@ def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
     dropped.  So the search finds a book and branches on which of those at
     most r + k - 1 vertices to drop; a later branch keeps every vertex an
     earlier sibling dropped, so no drop set is tried twice.  The budget of
-    drops rises from j - hint, since d >= j - hint, so M = hint, hint - 1,
-    ... are tried in turn, until the neighbourhood is book-free or the
-    budget passes j - floor.  Books found are kept per neighbourhood,
-    because each larger budget walks the same neighbourhoods again.
+    drops rises from 0, so M = j, j - 1, ... are tried in turn, and the
+    first budget that clears the neighbourhood is d; past j - floor the
+    search stops.  Books found are kept per neighbourhood, because each
+    larger budget walks the same neighbourhoods again, so the low budgets
+    cost dictionary hits.
     """
     j = len(prows)
     books: dict[int, int] = {}
@@ -322,24 +324,22 @@ def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
             keep |= 1 << u
         return False
 
-    for budget in range(max(j - hint, 0), j - max(floor, 0) + 1):
+    for budget in range(j - max(floor, 0) + 1):
         if clears((1 << j) - 1, 0, budget):
             return j - budget
     return floor - 1
 
 
-def _bb_unit(args) -> tuple[dict[tuple[int, ...], tuple[int, int]], int,
-                            bool]:
+def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     """Expand one class (a work unit) down to the stop order.
 
     Returns the canonical rows the unit reaches at the stop order, in
-    generation order, each with its edge count and its hint (see below),
-    together with the unit's node count and whether it finished within the
-    node limit.  Below the target order these are the class's accepted
-    children; at the target order they are the leaves that reach the unit's
-    incumbent.  Each unit starts from the same constructed incumbent and
-    shares nothing, so its result is independent of how units are assigned
-    to workers.
+    generation order, each with its edge count, together with the unit's
+    node count and whether it finished within the node limit.  Below the
+    target order these are the class's accepted children; at the target
+    order they are the leaves that reach the unit's incumbent.  Each unit
+    starts from the same constructed incumbent and shares nothing, so its
+    result is independent of how units are assigned to workers.
 
     Neighbourhood bound.  A class G of order n is reached through its
     canonical-deletion chain, whose prefix P of order j induces P on the
@@ -357,39 +357,33 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], tuple[int, int]], int,
     bound is t >= local_inc - e.
 
     M(P) is computed once per expanded node, and only once an incumbent
-    exists.  Cutting a book-free extension of a child down to P gives one
-    of P, so M(child) <= M(P) + 1, and that is the hint each child's search
-    starts from, the child's order while M(P) is unknown.  A unit's root
-    starts from the hint its parent unit returned with it; the hint only
-    shortens the search for M, never changes its value.  M(P) <= j, so the
-    bound is never weaker than letting every future vertex join all of P.
+    exists.  M(P) <= j, so the bound is never weaker than letting every
+    future vertex join all of P.
     """
-    (rows, e0, hint0, stop, n, r, k, inc0, node_limit) = args
+    (rows, e0, stop, n, r, k, inc0, node_limit) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    found: dict[tuple[int, ...], int] = {}
     completed = True
 
-    def dfs(prows: tuple[int, ...], e: int, hint: int) -> None:
+    def dfs(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
         j = len(prows)
         if j < n - 1:
-            minpop, child_hint = 0, j + 1
+            minpop = 0
             if local_inc is not None:
                 rest = n - j - 1
                 gap = local_inc - e - turan_edge_count(rest,
                                                        min(r + k - 1, rest))
                 # a child has t <= j, so any m with gap - rest * (m + 1) > j
                 # builds none: M(P) matters from ceil((gap - j) / rest) - 1 on
-                m = _max_free_degree(prows, r, k, hint,
-                                     -(-(gap - j) // rest) - 1)
+                m = _max_free_degree(prows, r, k, -(-(gap - j) // rest) - 1)
                 minpop = gap - rest * (m + 1)
-                child_hint = m + 1
             for crows, t in _children(prows, minpop, (r, k), state):
                 if j + 1 < stop:
-                    dfs(crows, e + t, child_hint)
+                    dfs(crows, e + t)
                 else:
-                    found[crows] = (e + t, child_hint)
+                    found[crows] = e + t
             return
         minpop = 0 if local_inc is None else local_inc - e
         for crows, t in _extensions(prows, minpop, (r, k), state):
@@ -400,11 +394,11 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], tuple[int, int]], int,
                 continue
             if local_inc is None or ce > local_inc:
                 local_inc = ce
-            found[canon_rows(crows)[0]] = (ce, hint + 1)
+            found[canon_rows(crows)[0]] = ce
 
     assert len(rows) < stop <= n, "a work unit grows its class"
     try:
-        dfs(rows, e0, hint0)
+        dfs(rows, e0)
     except BudgetExceeded:
         completed = False
     return found, state.nodes, completed
@@ -429,8 +423,9 @@ def branch_bound_extremal(params: CaseParams,
 
     Every class is a work unit: each class of order below the split depth
     is expanded by one order, and each class at the split depth is searched
-    to order n.  Units run in the pool when workers > 1, and each order's
-    results are concatenated in parent order.
+    to order n.  Units run in a pool of budget.workers processes, capped at
+    the CPUs this process may use, when that leaves more than one; each
+    order's results are concatenated in parent order.
     """
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
@@ -445,15 +440,17 @@ def branch_bound_extremal(params: CaseParams,
         return ExtremalReport(params=params, method="branch_bound", optimum=None,
                               extremal=(), exhaustive=True, nodes=0)
 
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(budget.workers, cpus)
     depth = max(2, n - 3)
-    # (rows, (edges, hint)) per class; the hint bounds M(rows), see _bb_unit
-    level: list[tuple[tuple[int, ...], tuple[int, int]]] = [((0,), (0, 1))]
+    level: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
     nodes, exhaustive = 0, True
-    with (get_context("fork").Pool(processes=budget.workers)
-          if budget.workers > 1 else nullcontext()) as pool:
+    with (get_context("fork").Pool(processes=workers)
+          if workers > 1 else nullcontext()) as pool:
         for stop in [*range(2, depth + 1), n]:
-            unit_args = [(rows, e, hint, stop, n, r, k, inc0,
-                          budget.node_limit) for rows, (e, hint) in level]
+            unit_args = [(rows, e, stop, n, r, k, inc0, budget.node_limit)
+                         for rows, e in level]
             if pool is not None and len(unit_args) > 1:
                 results = pool.map(_bb_unit, unit_args)
             else:
@@ -463,7 +460,7 @@ def branch_bound_extremal(params: CaseParams,
             level = [item for res in results for item in res[0].items()]
 
     candidates = {g.rows: g.edge_count() for g in seeds}
-    candidates.update((rows, e) for rows, (e, _) in level)
+    candidates.update(level)
     best = max(candidates.values(), default=None)
     extremal = tuple(Graph(rows) for rows in sorted(
         (rows for rows, e in candidates.items() if e == best), key=pack_rows))

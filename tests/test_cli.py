@@ -291,6 +291,29 @@ def test_closed_output_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_failed_write_exits_1_without_traceback():
+    # a write that fails, to an --emit file or to stdout itself: one error
+    # line and exit 1, after the search report if stdout still works
+    src = os.path.dirname(os.path.dirname(bookturan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = [sys.executable, "-m", "bookturan.cli"]
+    search = ["search", "--n", "7", "--r", "3", "--k", "1",
+              "--method", "enumerate"]
+    proc = subprocess.run([*cli, *search, "--emit", "/dev/full"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout.decode().startswith("n=7 r=3 k=1 ")
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+    for argv in (search, ["construct", "--family", "c53", "--n", "9"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*cli, *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
 def test_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--r", "3", "--k", "1",
                            "--n-from", "6", "--n-to", "9",

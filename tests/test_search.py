@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from bookturan import search
 from bookturan.canon import canon_rows, canonical_form, is_isomorphic, pack_rows
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free)
@@ -115,8 +116,9 @@ def test_bb_pruning_soundness():
 def test_max_free_degree_matches_brute_force():
     # M(P) against every neighbourhood of every book-free class of order
     # <= 6, judged by the whole-graph book test; then M(child) <= M(P) + 1
-    # for every accepted child, the step the search's hints rely on
-    for r, k in ((3, 1), (3, 2), (4, 2)):
+    # for every accepted child, a property of M the search does not rely on
+    # but that any wrong M is likely to break
+    for r, k in ((3, 1), (3, 2), (4, 2), (3, 3), (4, 3)):
         truth: dict[tuple[int, ...], int] = {}
         for j in range(1, 7):
             for g in generate_graphs(j, (r, k)):
@@ -125,11 +127,9 @@ def test_max_free_degree_matches_brute_force():
                         if contains_generalized_book(
                             Graph(_child_rows(g.rows, comb)), r, k) is None)
                 truth[g.rows] = m
-                for hint in range(m, j + 1):
-                    assert _max_free_degree(g.rows, r, k, hint, 0) == m
                 # below a floor the helper only has to say so
                 for floor in range(j + 2):
-                    got = _max_free_degree(g.rows, r, k, j, floor)
+                    got = _max_free_degree(g.rows, r, k, floor)
                     assert got == m if m >= floor else got < floor
         for prows, m in truth.items():
             if len(prows) < 6:
@@ -171,6 +171,32 @@ def test_bb_deterministic_across_workers():
             # more nodes than one limit's worth: several units did run
             assert not reports[0].exhaustive
             assert reports[0].nodes > node_limit + 1
+
+
+def test_bb_pool_is_capped_at_usable_cpus(monkeypatch):
+    # on a two-CPU process, eight workers start a pool of two; a pool of
+    # one is no pool at all
+    started = []
+    fork = search.get_context("fork")
+
+    class SpyContext:
+        def Pool(self, processes):
+            started.append(processes)
+            return fork.Pool(processes=processes)
+
+    monkeypatch.setattr(search, "get_context", lambda method: SpyContext())
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    params = CaseParams(7, 3, 1)
+    capped = branch_bound_extremal(params, SearchBudget(workers=8))
+    assert started == [2]
+    assert capped == branch_bound_extremal(params)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    assert branch_bound_extremal(params, SearchBudget(workers=8)) == capped
+    assert started == [2]
 
 
 def test_bb_k3_finding_is_pinned():
