@@ -204,8 +204,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
         else:
             report = branch_bound_extremal(params, budget)
         print(report.format_line(), flush=True)  # before any emit failure
-        (emit or sys.stdout).writelines(
-            encode_graph6(g) + "\n" for g in report.extremal)
+        lines = (encode_graph6(g) + "\n" for g in report.extremal)
+        if emit is None:
+            sys.stdout.writelines(lines)
+            return 0
+        try:  # closing flushes the file, so the close can fail as well
+            with emit:
+                emit.writelines(lines)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.emit}: {exc}") from None
     return 0
 
 

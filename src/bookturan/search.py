@@ -22,7 +22,12 @@ extensions whose new vertex has maximum degree in the child are ever built,
 a child whose new vertex is not in the last cell of its equitable
 refinement is rejected before it is labelled, and a child whose new vertex
 already lands last is accepted without canonically labelling its parent
-again (see _extensions and _children).  Book-freeness is kept one vertex at
+again (see _extensions and _children).  Permuting the twins of the parent
+is an automorphism, so two neighbourhoods that differ only by such a swap
+give isomorphic children, and only the one that takes a label-order prefix
+of each twin class, the lexicographically first of its orbit, is tried.
+Each class still enters at its first passing extension, so this changes
+the node count only.  Book-freeness is kept one vertex at
 a time: a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
 walk that decides book containment in checkers.  Branch-and-bound follows
@@ -49,7 +54,8 @@ from functools import cache
 from itertools import combinations
 from multiprocessing import get_context
 
-from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
+from .canon import (_twin_roots, canon, canon_rows, dedup_by_isomorphism,
+                    pack_rows)
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (c5_blowup, dihedral_profile,
                             extremal_family_graphs, turan_graph)
@@ -161,11 +167,49 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     spine lies in N(n).  Conversely an r-clique with k common neighbours is
     the spine of a book wherever it lies.  The clique walk takes n, the top
     label, first.
+
+    Twin rule: a neighbourhood S is tried only if it takes a label-order
+    prefix of each twin class of prows, the open-twin and closed-twin
+    classes of canon._twin_roots.  Sound: permuting the vertices inside a
+    twin class is an automorphism sigma of the parent; extended to fix n,
+    it maps P + S onto P + sigma(S).  So S and sigma(S) fare alike under the
+    degree rule (twins have equal degree), the book rule, the partition
+    precheck of _children (refinement is isomorphism-invariant) and, at the
+    BB leaf, the edge bound and colorability, and give one canonical form.
+    The prefix form comes first among the sets of its orbit in the order
+    tried: all have the same t, and its i-th smallest vertex is at most
+    that of any other.  So the first passing extension of each class is a
+    prefix form, _children returns the same list in the same order, and the
+    BB leaf records the same classes in the same order (its incumbent only
+    rises, so where S passes, its prefix form passed earlier).  Only the
+    node count changes.  Twins have equal degree, so the candidates hold
+    whole twin classes, and while t is at least their number, the only
+    t-set takes every class whole: the classes are found at the first t
+    below that, and a parent without twins takes every combination
+    unchecked.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
+    below: list[int] | None = None  # the bit of the twin of u just below u
+    twins = False
     for t in range(n, max(minpop, max(degs)) - 1, -1):
-        for comb in combinations([u for u in range(n) if degs[u] < t], t):
+        free = [u for u in range(n) if degs[u] < t]
+        if below is None and len(free) > t:
+            below = [0] * n
+            top: dict[int, int] = {}
+            for u, root in enumerate(_twin_roots(prows)):
+                if root in top:
+                    below[u] = 1 << top[root]
+                top[root] = u
+            twins = any(below)
+        for comb in combinations(free, t):
+            if twins:
+                need = mask = 0
+                for u in comb:
+                    need |= below[u]
+                    mask |= 1 << u
+                if need & ~mask:  # a twin below some u is missing
+                    continue
             state.tick()
             crows = _child_rows(prows, comb)
             if book is None or _book_clique(

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from bookturan import search
-from bookturan.canon import canon_rows, canonical_form, is_isomorphic, pack_rows
+from bookturan.canon import (canon, canon_rows, canonical_form, is_isomorphic,
+                            pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free)
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
@@ -43,6 +44,49 @@ def test_generation_matches_labelled_brute_force():
             generated = [pack_rows(g.rows) for g in generate_graphs(n, book)]
             assert len(generated) == len(set(generated)), (n, book)
             assert set(generated) == expected, (n, book)
+
+
+def _children_without_twin_rule(prows, book):
+    # _children and _extensions as they would be with no twin rule: every
+    # t-subset of the vertices the degree rule allows, the book judged on the
+    # whole child; with the number of neighbourhoods tried
+    n = len(prows)
+    degs = [row.bit_count() for row in prows]
+    out, seen, tried = [], set(), 0
+    for t in range(n, max(degs) - 1, -1):
+        for comb in combinations([u for u in range(n) if degs[u] < t], t):
+            tried += 1
+            crows = _child_rows(prows, comb)
+            if book is not None and contains_generalized_book(
+                    Graph(crows), *book) is not None:
+                continue
+            root = canon(crows, n)
+            if root is None:
+                continue
+            ckey, perm = canon_rows(crows, root)
+            if ckey in seen:
+                continue
+            seen.add(ckey)
+            if perm[n] == n or canon_rows(
+                    tuple(row & ~(1 << n) for row in ckey[:n]))[0] == prows:
+                out.append((ckey, t))
+    return out, tried
+
+
+def test_twin_rule_changes_only_the_node_count():
+    # same children in the same order, never more neighbourhoods tried
+    total = reference = 0
+    for book, top in ((None, 6), ((3, 1), 7), ((3, 2), 7), ((4, 2), 7)):
+        for j in range(1, top + 1):
+            for g in generate_graphs(j, book):
+                state = _State(None)
+                got = _children(g.rows, 0, book, state)
+                want, tried = _children_without_twin_rule(g.rows, book)
+                assert got == want, (book, g.rows)
+                assert state.nodes <= tried, (book, g.rows)
+                total += state.nodes
+                reference += tried
+    assert total < reference  # the rule did skip neighbourhoods
 
 
 def test_generation_members_are_canonical_and_distinct():
@@ -155,10 +199,28 @@ def test_bb_infeasible_below_r_plus_one():
     assert rep.optimum is None and rep.exhaustive
 
 
-def test_bb_deterministic_across_workers():
+def _report_cpus(monkeypatch, count):
+    # the pool is capped at the usable CPUs, so a test that asks for more
+    # workers than the host has must make the host report more
+    monkeypatch.setattr(search.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: count)
+
+
+def test_bb_deterministic_across_workers(monkeypatch):
     # a limit of 30 cuts inside the work units; at (9,3,2) the classes below
-    # the split depth take 399 nodes, so it also checks that the limit is
+    # the split depth take 269 nodes, so it also checks that the limit is
     # per class there, not one budget for all of them
+    started = []
+    fork = search.get_context("fork")
+
+    class SpyContext:
+        def Pool(self, processes):
+            started.append(processes)
+            return fork.Pool(processes=processes)
+
+    monkeypatch.setattr(search, "get_context", lambda method: SpyContext())
+    _report_cpus(monkeypatch, 4)
     for params, node_limit in ((CaseParams(7, 3, 1), None),
                                (CaseParams(7, 3, 1), 30),
                                (CaseParams(9, 3, 2), 30)):
@@ -171,6 +233,8 @@ def test_bb_deterministic_across_workers():
             # more nodes than one limit's worth: several units did run
             assert not reports[0].exhaustive
             assert reports[0].nodes > node_limit + 1
+    # the "4" case really ran a pool of four processes
+    assert started == [2, 4] * 3
 
 
 def test_bb_pool_is_capped_at_usable_cpus(monkeypatch):
@@ -185,16 +249,12 @@ def test_bb_pool_is_capped_at_usable_cpus(monkeypatch):
             return fork.Pool(processes=processes)
 
     monkeypatch.setattr(search, "get_context", lambda method: SpyContext())
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     params = CaseParams(7, 3, 1)
     capped = branch_bound_extremal(params, SearchBudget(workers=8))
     assert started == [2]
     assert capped == branch_bound_extremal(params)
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    _report_cpus(monkeypatch, 1)
     assert branch_bound_extremal(params, SearchBudget(workers=8)) == capped
     assert started == [2]
 
@@ -210,7 +270,7 @@ def test_bb_k3_finding_is_pinned():
                                     SearchBudget(workers=workers))
         assert rep.format_line() == (
             "n=9 r=3 k=3 q=3 p=0 method=branch_bound optimum=29 classes=1"
-            " nodes=7309 exhaustive=true")
+            " nodes=6187 exhaustive=true")
         assert [encode_graph6(g) for g in rep.extremal] == ["HLr~v~}"]
 
 
@@ -356,12 +416,11 @@ def test_report_line_shape():
     # unless a new pruning rule changes the node count on purpose
     assert enumerate_extremal(CaseParams(7, 3, 1)).format_line() == (
         "n=7 r=3 k=1 q=2 p=1 method=enumeration optimum=15 classes=1"
-        " nodes=2933 exhaustive=true")
+        " nodes=1957 exhaustive=true")
     assert branch_bound_extremal(CaseParams(9, 3, 2)).format_line() == (
         "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-        " nodes=4597 exhaustive=true")
-    # the bench row: a complete-join cap, which lets every future vertex
-    # join the whole prefix, takes 64,127 nodes here
+        " nodes=3801 exhaustive=true")
+    # the bench row
     assert branch_bound_extremal(CaseParams(10, 3, 2)).format_line() == (
         "n=10 r=3 k=2 q=3 p=1 method=branch_bound optimum=31 classes=2"
-        " nodes=20148 exhaustive=true")
+        " nodes=16671 exhaustive=true")
