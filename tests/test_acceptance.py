@@ -17,12 +17,12 @@ from bookturan.formulas import (CaseParams, ex_nonpartite_value,
                                 intersection_lower_bound, turan_sandwich_holds)
 from bookturan.graph6 import decode_graph6, encode_graph6
 from bookturan.graphs import empty_graph, join, relabel
-from bookturan import search
 from bookturan.search import (SearchBudget, branch_bound_extremal,
                               enumerate_extremal, family_optimizer,
                               generate_graphs, verify_theorem)
 
 from test_graphs import random_graph
+from test_search import _report_cpus
 
 
 def _report(criterion, detail):
@@ -161,11 +161,8 @@ def test_criterion_7_infrastructure_invariants():
 
 
 def test_criterion_8_search_determinism(capsys, monkeypatch):
-    # the pool is capped at the usable CPUs: report four, so that four
-    # workers run four processes on any host
-    monkeypatch.setattr(search.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    # four CPUs, so that four workers run four processes on any host
+    _report_cpus(monkeypatch, 4)
     for n, r, k in ((7, 3, 1), (9, 3, 2)):
         outputs = set()
         for workers in ("1", "2", "4"):
