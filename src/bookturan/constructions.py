@@ -2,10 +2,14 @@
 three extremal join families, generalized books, and the near-complete
 multipartite graphs obtained by shifting one edge inside a part.
 
-Family builders return the raw parameterized members.  The parameter ranges
-contain rotations and reflections of the same blow-up, so callers that need
-one canonical representative per isomorphism class reduce the members with
-dedup_by_isomorphism, as extremal_family_graphs does.
+Every member of a named family is described by a spec (blow-up profile,
+join order m) and built from it in one place, _c5_join, as
+C5[profile] v T_{r-2}(m).  Family builders return the raw parameterized
+members.  The parameter ranges contain rotations and reflections of the
+same blow-up, so extremal_family_graphs first maps each spec's profile to
+its dihedral normal form and drops repeated specs, then labels what is left
+once each with dedup_by_isomorphism, which keeps one canonical
+representative per isomorphism class.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ from .canon import dedup_by_isomorphism
 from .formulas import (CaseParams, FAMILY_C5_JOIN, FAMILY_G1, FAMILY_G2,
                        FAMILY_G3, extremal_case)
 from .graphs import Graph, add_edge, join, remove_edge
+
+# A family member as a spec: (blow-up profile, join order m), the graph
+# C5[profile] v T_{r-2}(m) that _c5_join builds.
+_Spec = tuple[tuple[int, ...], int]
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
@@ -92,94 +100,136 @@ def dihedral_profile(profile: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def family_c5_1(n: int) -> list[Graph]:
-    """Blow-ups C5[n/2-2, t, 1, 1, n/2-t] for 1 <= t <= n/2-1 (even n >= 6)."""
+def _c5_1_profiles(n: int) -> list[tuple[int, ...]]:
     if n % 2 or n < 6:
         raise ValueError(f"family C5^1 needs even n >= 6, got {n}")
     h = n // 2
-    return [c5_blowup((h - 2, t, 1, 1, h - t)) for t in range(1, h)]
+    return [(h - 2, t, 1, 1, h - t) for t in range(1, h)]
+
+
+def _c5_2_profiles(n: int) -> list[tuple[int, ...]]:
+    if n % 2 or n < 6:
+        raise ValueError(f"family C5^2 needs even n >= 6, got {n}")
+    h = n // 2
+    return [(h - 1, t, 1, 1, h - t - 1) for t in range(1, h - 1)]
+
+
+def _c5_3_profiles(n: int) -> list[tuple[int, ...]]:
+    if n % 2 == 0 or n < 5:
+        raise ValueError(f"family C5^3 needs odd n >= 5, got {n}")
+    h = (n - 1) // 2
+    return [(h - 1, t, 1, 1, h - t) for t in range(1, h)]
+
+
+def family_c5_1(n: int) -> list[Graph]:
+    """Blow-ups C5[n/2-2, t, 1, 1, n/2-t] for 1 <= t <= n/2-1 (even n >= 6)."""
+    return [c5_blowup(prof) for prof in _c5_1_profiles(n)]
 
 
 def family_c5_2(n: int) -> list[Graph]:
     """Blow-ups C5[n/2-1, t, 1, 1, n/2-t-1] for 1 <= t <= n/2-2 (even n >= 6)."""
-    if n % 2 or n < 6:
-        raise ValueError(f"family C5^2 needs even n >= 6, got {n}")
-    h = n // 2
-    return [c5_blowup((h - 1, t, 1, 1, h - t - 1)) for t in range(1, h - 1)]
+    return [c5_blowup(prof) for prof in _c5_2_profiles(n)]
 
 
 def family_c5_3(n: int) -> list[Graph]:
     """Blow-ups C5[(n-1)/2-1, t, 1, 1, (n-1)/2-t] for 1 <= t <= (n-1)/2-1 (odd n >= 5)."""
-    if n % 2 == 0 or n < 5:
-        raise ValueError(f"family C5^3 needs odd n >= 5, got {n}")
-    h = (n - 1) // 2
-    return [c5_blowup((h - 1, t, 1, 1, h - t)) for t in range(1, h)]
+    return [c5_blowup(prof) for prof in _c5_3_profiles(n)]
 
 
-def _join_turan(cores: list[Graph], m: int, r: int) -> list[Graph]:
-    # T_{r-2}(m); for r = 3 this is the edgeless graph on m vertices
-    if m == 0:
-        return list(cores)
-    rest = turan_graph(m, r - 2)
-    return [join(core, rest) for core in cores]
+def _c5_join(profile: Sequence[int], m: int, r: int) -> Graph:
+    """C5[profile] v T_{r-2}(m), or the blow-up alone when m = 0; for
+    r = 3 the join part is the edgeless graph on m vertices."""
+    core = c5_blowup(profile)
+    return join(core, turan_graph(m, r - 2)) if m else core
 
 
-def family_g1(params: CaseParams) -> list[Graph]:
-    """Members F v T_{r-2}(q(r-2)+p+1) with F from the odd family on 2q-1 vertices."""
+def _g1_specs(params: CaseParams) -> list[_Spec]:
     q, r, p = params.q, params.r, params.p
     if 2 * q - 1 < 5:
         raise ValueError(
             f"family G1 needs q >= 3 so the odd blow-up family on 2q-1 >= 5"
             f" vertices exists; got q={q}")
-    return _join_turan(family_c5_3(2 * q - 1), q * (r - 2) + p + 1, r)
+    m = q * (r - 2) + p + 1
+    return [(prof, m) for prof in _c5_3_profiles(2 * q - 1)]
 
 
-def family_g2(params: CaseParams) -> list[Graph]:
-    """Members F v T_{r-2}(q(r-2)+p) with F from the even families on 2q vertices."""
+def _g2_specs(params: CaseParams) -> list[_Spec]:
     q, r, p = params.q, params.r, params.p
     if 2 * q < 6:
         raise ValueError(
             f"family G2 needs q >= 3 so the even blow-up families on 2q >= 6"
             f" vertices exist; got q={q}")
-    cores = family_c5_1(2 * q) + family_c5_2(2 * q)
-    return _join_turan(cores, q * (r - 2) + p, r)
+    m = q * (r - 2) + p
+    return [(prof, m) for prof in _c5_1_profiles(2 * q) + _c5_2_profiles(2 * q)]
 
 
-def family_g3(params: CaseParams) -> list[Graph]:
-    """Members F v T_{r-2}(q(r-2)+p-1) with F from the odd family on 2q+1 vertices."""
+def _g3_specs(params: CaseParams) -> list[_Spec]:
     q, r, p = params.q, params.r, params.p
     if 2 * q + 1 < 5:
         raise ValueError(
             f"family G3 needs q >= 2 so the odd blow-up family on 2q+1 >= 5"
             f" vertices exists; got q={q}")
-    if q * (r - 2) + p - 1 < 0:
+    m = q * (r - 2) + p - 1
+    if m < 0:
         raise ValueError(f"family G3 join part would be negative at {params}")
-    return _join_turan(family_c5_3(2 * q + 1), q * (r - 2) + p - 1, r)
+    return [(prof, m) for prof in _c5_3_profiles(2 * q + 1)]
+
+
+def _c5_join_specs(params: CaseParams) -> list[_Spec]:
+    if params.n < 5:
+        raise ValueError(f"need n >= 5, got {params.n}")
+    return [((1, 1, 1, 1, 1), params.n - 5)]
+
+
+def family_g1(params: CaseParams) -> list[Graph]:
+    """Members F v T_{r-2}(q(r-2)+p+1) with F from the odd family on 2q-1 vertices."""
+    return [_c5_join(prof, m, params.r) for prof, m in _g1_specs(params)]
+
+
+def family_g2(params: CaseParams) -> list[Graph]:
+    """Members F v T_{r-2}(q(r-2)+p) with F from the even families on 2q vertices."""
+    return [_c5_join(prof, m, params.r) for prof, m in _g2_specs(params)]
+
+
+def family_g3(params: CaseParams) -> list[Graph]:
+    """Members F v T_{r-2}(q(r-2)+p-1) with F from the odd family on 2q+1 vertices."""
+    return [_c5_join(prof, m, params.r) for prof, m in _g3_specs(params)]
 
 
 def family_c5_join(params: CaseParams) -> list[Graph]:
     """The single small-quotient extremal graph C5 v T_{r-2}(n-5)."""
-    n, r = params.n, params.r
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
-    return _join_turan([c5_blowup((1, 1, 1, 1, 1))], n - 5, r)
+    return [_c5_join(prof, m, params.r) for prof, m in _c5_join_specs(params)]
 
 
-_FAMILY_BUILDERS = {
-    FAMILY_G1: family_g1,
-    FAMILY_G2: family_g2,
-    FAMILY_G3: family_g3,
-    FAMILY_C5_JOIN: family_c5_join,
+_FAMILY_SPECS = {
+    FAMILY_G1: _g1_specs,
+    FAMILY_G2: _g2_specs,
+    FAMILY_G3: _g3_specs,
+    FAMILY_C5_JOIN: _c5_join_specs,
 }
 
 
-def extremal_family_graphs(params: CaseParams, mode: str = "theorem1") -> list[Graph]:
-    """Union of the families the case table names for params, deduplicated."""
+def _family_specs(params: CaseParams, mode: str) -> list[_Spec]:
+    """Specs of the families the case table names for params, with each
+    profile in dihedral normal form and each spec once, in first-seen
+    order.
+
+    Sound: a rotation or reflection of C5 is an automorphism of C5, so
+    normalising a profile only relabels the blow-up, and the join with the
+    same T_{r-2}(m) is relabelled with it.  Equal specs build equal graphs,
+    so dropping a repeated spec drops only a copy of a class already kept.
+    """
     case = extremal_case(params, mode)
-    members: list[Graph] = []
-    for tag in case.families:
-        members.extend(_FAMILY_BUILDERS[tag](params))
-    return dedup_by_isomorphism(members)
+    return list(dict.fromkeys(
+        (dihedral_profile(prof), m)
+        for tag in case.families for prof, m in _FAMILY_SPECS[tag](params)))
+
+
+def extremal_family_graphs(params: CaseParams, mode: str = "theorem1") -> list[Graph]:
+    """Union of the families the case table names for params, deduplicated:
+    one canonical representative per class, canonically sorted."""
+    return dedup_by_isomorphism([_c5_join(prof, m, params.r)
+                                 for prof, m in _family_specs(params, mode)])
 
 
 def generalized_book(r: int, k: int) -> Graph:

@@ -57,10 +57,10 @@ from multiprocessing import get_context
 from .canon import (_twin_roots, canon, canon_rows, dedup_by_isomorphism,
                     pack_rows)
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
-from .constructions import (c5_blowup, dihedral_profile,
-                            extremal_family_graphs, turan_graph)
+from .constructions import (_c5_join, _family_specs, _Spec,
+                            dihedral_profile, extremal_family_graphs)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
-from .graphs import Graph, join
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -545,6 +545,23 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return best, tuple(sorted(profiles))
 
 
+def _family_sweep(n: int, r: int) -> tuple[int, list[_Spec]]:
+    """The family optimizer's sweep: the maximum of e(G1 v G2) and the spec
+    (blow-up profile in dihedral normal form, join order n - m) of every
+    maximizer, each spec once.  See family_optimizer."""
+    if r < 3:
+        raise ValueError(f"need r >= 3, got {r}")
+    if n < r + 3:
+        raise ValueError(f"need n >= r + 3, got n={n}, r={r}")
+    splits = range(5, n - (r - 2) + 1)
+    totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
+              + m * (n - m) for m in splits}
+    best = max(totals.values())
+    specs = [(prof, n - m) for m in splits if totals[m] == best
+             for prof in _blowup_optimum(m)[1]]
+    return best, specs
+
+
 def family_optimizer(n: int, r: int) -> ExtremalReport:
     """Exhaustively maximize e(G1 v G2) over G1 a positive pentagon blow-up
     and G2 a complete (r-2)-partite graph, across all splits of n.
@@ -561,19 +578,14 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
     gains a - b - 1 > 0 edges.  So each split scores
     e(G1) + e(T_{r-2}(n - m)) + m(n - m), and every maximizer joins a best
     blow-up with that Turan graph.
+
+    The sweep yields each maximizer as a spec (profile, join order), one
+    per dihedral class of profile; this report labels each spec's graph
+    once.  verify_theorem runs the same sweep and labels the specs itself.
     """
-    if r < 3:
-        raise ValueError(f"need r >= 3, got {r}")
-    if n < r + 3:
-        raise ValueError(f"need n >= r + 3, got n={n}, r={r}")
-    splits = range(5, n - (r - 2) + 1)
-    totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
-              + m * (n - m) for m in splits}
-    best = max(totals.values())
-    graphs = [join(c5_blowup(prof), turan_graph(n - m, r - 2))
-              for m in splits if totals[m] == best
-              for prof in _blowup_optimum(m)[1]]
-    extremal = tuple(dedup_by_isomorphism(graphs))
+    best, specs = _family_sweep(n, r)
+    extremal = tuple(dedup_by_isomorphism([_c5_join(prof, m, r)
+                                           for prof, m in specs]))
     return ExtremalReport(params=CaseParams(n, r), method="family_optimizer",
                           optimum=best, extremal=extremal,
                           exhaustive=False, nodes=0)
@@ -616,6 +628,17 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
     named families only.  The range must start at the first order the
     mode's case table covers: n >= 3r (q >= 3) for theorem1 and n >= r + 3
     for theorem14; it is checked before any row is computed.
+
+    Each row labels each class once.  The family optimizer's sweep and the
+    named families both give their members as specs (blow-up profile in
+    dihedral normal form, join order); each spec in their union is built
+    and canonically labelled once, and the row compares the two sets of
+    canonical forms, and the oracle's, when it runs, with the named one.
+    Sound: a rotation or reflection of C5 is an automorphism of C5, so
+    normalising a profile only relabels the blow-up, and equal specs build
+    equal graphs.  Sharing a spec shares no logic between the engines:
+    each derives its specs on its own, and canon still decides every
+    comparison between them.
     """
     if n_from > n_to:
         raise ValueError("empty verification range")
@@ -628,11 +651,13 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
     for n in range(n_from, n_to + 1):
         params = CaseParams(n, r, k)
         formula = ex_nonpartite_value(params)
-        fam = family_optimizer(n, r)
-        predicted = extremal_family_graphs(params, mode)
-        pred_canon = frozenset(pack_rows(g.rows) for g in predicted)
-        consistent = (formula == fam.optimum
-                      and fam.extremal_canon == pred_canon)
+        fam_opt, fam_specs = _family_sweep(n, r)
+        named_specs = _family_specs(params, mode)
+        forms = {spec: pack_rows(canon_rows(_c5_join(*spec, r).rows)[0])
+                 for spec in dict.fromkeys(fam_specs + named_specs)}
+        fam_canon = frozenset(forms[spec] for spec in fam_specs)
+        pred_canon = frozenset(forms[spec] for spec in named_specs)
+        consistent = formula == fam_opt and fam_canon == pred_canon
 
         # unbudgeted enumeration always finishes, and for n >= r + 3 it
         # always finds C5 v T_{r-2}(n-5) (K_{r+1}-free, chromatic number
@@ -644,6 +669,6 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
 
         records.append(VerifyRecord(
             n=n, r=r, k=k, q=params.q, p=params.p, formula=formula,
-            family_opt=fam.optimum, oracle=rep.optimum if rep else None,
+            family_opt=fam_opt, oracle=rep.optimum if rep else None,
             verdict=verdict))
     return records

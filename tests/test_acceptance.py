@@ -12,7 +12,7 @@ from bookturan.checkers import (contains_clique, contains_generalized_book,
                                 is_nonpartite_book_free)
 from bookturan.cli import main as cli_main
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
-                                     generalized_book)
+                                     family_c5_join, generalized_book)
 from bookturan.formulas import (CaseParams, ex_nonpartite_value,
                                 intersection_lower_bound, turan_sandwich_holds)
 from bookturan.graph6 import decode_graph6, encode_graph6
@@ -73,7 +73,15 @@ def test_criterion_3_small_n_enumeration():
     assert len(rep8.extremal) == 1
     assert is_isomorphic(rep8.extremal[0],
                          join(c5_blowup((1, 1, 1, 1, 1)), empty_graph(3)))
-    _report(3, "enumeration reproduces 15 and 20 with the unique join classes")
+
+    # both rows have q = 2, where the theorem14 table names the single
+    # small-quotient family C5 v T_1(n - 5)
+    for rep in (rep7, rep8):
+        named = family_c5_join(rep.params)
+        assert [canonical_form(g) for g in named] == [
+            pack_rows(g.rows) for g in rep.extremal]
+    _report(3, "enumeration reproduces 15 and 20 with the unique join classes,"
+               " the named small-quotient family")
 
 
 def test_criterion_4_boundary_row_is_reported():

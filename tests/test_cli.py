@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from bookturan.graph6 import decode_graph6, encode_graph6
 from bookturan.canon import is_isomorphic
 from bookturan.constructions import c5_blowup, generalized_book, turan_graph
 from bookturan.graphs import empty_graph, from_edges, join
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +335,17 @@ def test_verify(capsys):
         "n=9 r=3 k=1 q=3 p=0 formula=25 family_opt=25 oracle=-"
         " exhaustive=- verdict=AGREE",
     ]
+    assert out.splitlines() == readme_block_after("`--n-from 6 --n-to 9`")
+
+
+def readme_block_after(marker):
+    """Lines of the first fenced block after the README line holding marker."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if marker in line)
+    fence = next(i for i in range(start, len(lines))
+                 if lines[i].startswith("```"))
+    end = lines.index("```", fence + 1)
+    return lines[fence + 1:end]
 
 
 def test_verify_range_below_case_table_is_rejected_up_front(capsys):

@@ -11,7 +11,9 @@ from bookturan.constructions import (blowup_edge_count, c5_blowup,
                                      family_g1, family_g2, family_g3,
                                      generalized_book, near_complete_ks,
                                      turan_graph, turan_part_sizes)
-from bookturan.formulas import CaseParams, ex_nonpartite_value
+from bookturan.formulas import (FAMILY_C5_JOIN, FAMILY_G1, FAMILY_G2,
+                                FAMILY_G3, CaseParams, ex_nonpartite_value,
+                                extremal_case)
 from bookturan.graphs import empty_graph, join
 
 
@@ -127,6 +129,31 @@ def test_family_members_match_formula_and_are_clique_free():
                 assert g.edge_count() == value
                 assert contains_clique(g, r + 1) is None
                 assert chromatic_number(g) == r + 1
+
+
+def test_named_family_dedup_matches_raw_member_dedup():
+    # the definition before specs: label every raw member of every named
+    # family, then keep one class each.  The spec dedup must give the same
+    # list, order included.  The members depend on n, r and the families
+    # named, not on k or the mode, so each reference is computed once
+    builders = {FAMILY_G1: family_g1, FAMILY_G2: family_g2,
+                FAMILY_G3: family_g3, FAMILY_C5_JOIN: family_c5_join}
+    reference = {}
+    rows = 0
+    for r in range(3, 7):
+        for k in (1, 2, 3):
+            for mode in ("theorem1", "theorem14"):
+                first = 3 * r if mode == "theorem1" else r + 3
+                for n in range(first, 41):
+                    params = CaseParams(n, r, k)
+                    tags = extremal_case(params, mode).families
+                    if (n, r, tags) not in reference:
+                        reference[n, r, tags] = dedup_by_isomorphism(
+                            [g for tag in tags for g in builders[tag](params)])
+                    assert extremal_family_graphs(params, mode) == \
+                        reference[n, r, tags], (n, r, k, mode)
+                    rows += 1
+    assert rows == 3 * (32 + 29 + 26 + 23 + 35 + 34 + 33 + 32)
 
 
 def test_small_q_family():

@@ -1,20 +1,23 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
+from bookturan import canon as canon_module
 from bookturan import search
-from bookturan.canon import (canon, canon_rows, canonical_form, is_isomorphic,
-                            pack_rows)
+from bookturan.canon import (canon, canon_rows, canonical_form,
+                            dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free)
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      family_g3, generalized_book,
-                                     turan_part_sizes)
+                                     turan_graph, turan_part_sizes)
 from bookturan.formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
-from bookturan.search import (BudgetExceeded, SearchBudget, _State,
-                              _child_rows, _children, _max_free_degree,
+from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
+                              _State, _blowup_optimum, _child_rows,
+                              _children, _max_free_degree,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
@@ -318,6 +321,25 @@ def test_family_optimizer_blowup_sweep_matches_brute_force():
         assert set(profiles) == winners, m
 
 
+def test_family_optimizer_matches_joins_of_best_profiles():
+    # the report as it was built before the sweep returned specs: join every
+    # best profile of every best split with the balanced Turan graph, label
+    # each join
+    for r in range(3, 7):
+        for n in range(r + 3, 41):
+            splits = range(5, n - (r - 2) + 1)
+            totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
+                      + m * (n - m) for m in splits}
+            best = max(totals.values())
+            graphs = [join(c5_blowup(prof), turan_graph(n - m, r - 2))
+                      for m in splits if totals[m] == best
+                      for prof in _blowup_optimum(m)[1]]
+            assert family_optimizer(n, r) == ExtremalReport(
+                params=CaseParams(n, r), method="family_optimizer",
+                optimum=best, extremal=tuple(dedup_by_isomorphism(graphs)),
+                exhaustive=False, nodes=0), (n, r)
+
+
 def test_turan_partition_is_the_only_multipartite_maximizer():
     # family_optimizer takes the join part straight from Turan's theorem;
     # check that claim against every partition of w into exactly `parts`
@@ -385,6 +407,42 @@ def test_verify_r6_small_quotient_rows_are_pinned():
     ]
     assert len(lines) == 12
     assert all(line.endswith("verdict=AGREE") for line in lines[4:])
+
+
+def test_verify_lines_are_pinned():
+    # sha256 of the lines as they were before verify labelled each class
+    # once: the bench rows, theorem1 rows, and the oracle rows at n <= 8
+    ranges = ([(r, 2, 9, 45, "theorem14") for r in (3, 4, 5)]
+              + [(r, 1, 3 * r, 30, "theorem1") for r in (3, 4, 5)]
+              + [(3, k, 6, 8, "theorem14") for k in (1, 2, 3)])
+    lines = [rec.format_line() for args in ranges
+             for rec in verify_theorem(*args)]
+    assert len(lines) == 3 * 37 + 22 + 19 + 16 + 3 * 3
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "eddd7868b680c5a2aafb691763230594f80011353e7324718ddd3626471c4428")
+
+
+def test_verify_labels_each_class_once(monkeypatch):
+    # per row, the classes of the family optimizer and of the named
+    # families, as the public functions find them
+    classes = {}
+    for n in range(9, 21):
+        fam = family_optimizer(n, 3).extremal_canon
+        named = {canonical_form(g) for g in
+                 extremal_family_graphs(CaseParams(n, 3, 2), "theorem14")}
+        classes[n] = len(fam | named)
+    calls = {}
+
+    def counted(rows, root=None):
+        calls[len(rows)] = calls.get(len(rows), 0) + 1
+        return canon_rows(rows, root)
+
+    # the name verify labels through, and the one dedup_by_isomorphism uses
+    monkeypatch.setattr(search, "canon_rows", counted)
+    monkeypatch.setattr(canon_module, "canon_rows", counted)
+    rows = verify_theorem(3, 2, 9, 20, "theorem14")
+    assert all(rec.verdict == "AGREE" for rec in rows)
+    assert calls == classes
 
 
 def test_verify_rejects_bad_input():
