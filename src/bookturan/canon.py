@@ -71,12 +71,12 @@ def _refine(rows: tuple[int, ...], cells: Cells, queue: deque[int],
     A split cell is replaced in place by its fragments, in ascending order
     of their neighbour counts, and every cell keeps its vertices in label
     order.  With a watch vertex, return None as soon as it is not in the
-    last cell: cells only split in place, so a vertex that has left the
-    last cell never returns to it.  Checking before each splitter is
+    first cell: cells only split in place, so a vertex that has left the
+    first cell never returns to it.  Checking before each splitter is
     enough, because every split queues its fragments as splitters.
     """
     while queue:
-        if watch >= 0 and watch not in cells[-1]:
+        if watch >= 0 and watch not in cells[0]:
             return None
         smask = queue.popleft()
         out: Cells = []
@@ -98,18 +98,19 @@ def _refine(rows: tuple[int, ...], cells: Cells, queue: deque[int],
     return cells
 
 
-def canon(rows: tuple[int, ...], last: int) -> Cells | None:
+def canon(rows: tuple[int, ...], first: int) -> Cells | None:
     """Refined root partition of rows for canon_rows, or None when vertex
-    last cannot take the last canonical position (last = -1 watches no
-    vertex).
+    first cannot take canonical position 0 (first = -1 watches no vertex).
 
     The root partition is the equitable refinement of the unit partition.
     Individualization and twin splits replace a cell by pieces in place, so
-    the last canonical vertex always lies in the root's last cell; a vertex
-    outside it is rejected as soon as refinement moves it out.
+    the vertex at canonical position 0 always lies in the root's first
+    cell; a vertex outside it is rejected as soon as refinement moves it
+    out.  The first split is by degree, in ascending order, so that vertex
+    has minimum degree.
     """
     return _refine(rows, [list(range(len(rows)))],
-                   deque([(1 << len(rows)) - 1]), last)
+                   deque([(1 << len(rows)) - 1]), first)
 
 
 def _label(rows: tuple[int, ...],

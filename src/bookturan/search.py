@@ -12,29 +12,32 @@ cross-check each other:
   join part as the balanced Turan graph T_{r-2}, the only edge maximizer
   among complete (r-2)-partite graphs by Turan's theorem.
 
-Generation uses canonical augmentation: a child produced by appending one
-vertex is kept iff deleting the vertex at the *last canonical position*
-yields the generating parent class.  Parents are pairwise non-isomorphic, so
-each class is produced exactly once globally (children of one parent are
-deduplicated by canonical form).  The canonical labelling orders vertices by
-ascending degree, so the last canonical vertex has maximum degree; only
-extensions whose new vertex has maximum degree in the child are ever built,
-a child whose new vertex is not in the last cell of its equitable
+Generation uses canonical augmentation (McKay, J. Algorithms 26, 1998)
+along the min-degree deletion chain: a child produced by adding one vertex
+at label 0 is kept iff deleting the vertex at *canonical position 0*
+yields the generating parent class.  Parents are pairwise non-isomorphic,
+so each class is produced exactly once globally (children of one parent
+are deduplicated by canonical form).  The canonical labelling orders
+vertices by ascending degree, so canonical position 0 has minimum degree;
+only extensions whose new vertex has minimum degree in the child are ever
+built, a child whose new vertex is not in the first cell of its equitable
 refinement is rejected before it is labelled, and a child whose new vertex
-already lands last is accepted without canonically labelling its parent
-again (see _extensions and _children).  Permuting the twins of the parent
-is an automorphism, so two neighbourhoods that differ only by such a swap
-give isomorphic children, and only the one that takes a label-order prefix
-of each twin class, the lexicographically first of its orbit, is tried.
-Each class still enters at its first passing extension, so this changes
-the node count only.  Book-freeness is kept one vertex at
-a time: a book-free parent gains a book only through the new vertex, so only
+already lands at position 0 is accepted without canonically labelling its
+parent again (see _extensions and _children).  Permuting the twins of the
+parent is an automorphism, so two neighbourhoods that differ only by such
+a swap give isomorphic children, and only the one that takes a label-order
+prefix of each twin class, the lexicographically first of its orbit, is
+tried.  Each class still enters at its first passing extension, so this
+changes the node count only.  Book-freeness is kept one vertex at a time:
+a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
 walk that decides book containment in checkers.  Branch-and-bound follows
 the same chain and bounds what a prefix P can still gain: every later
 vertex v keeps G[P + v] book-free, so it has at most M(P) neighbours in P,
-where M(P) is the largest degree of a book-free one-vertex extension of P
-(see _max_free_degree and _bb_unit).
+where M(P) is the largest degree of a book-free one-vertex extension of P.
+M(P) is bounded from above by packing vertex-disjoint books of P + v, v
+joined to all of P: each one costs v at least one neighbour (see
+_max_free_degree and _bb_unit).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -130,71 +133,78 @@ class ExtremalReport:
 
 
 def _child_rows(rows: tuple[int, ...], comb: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(rows)
-    new = list(rows)
+    """rows with one vertex added at label 0, joined to the vertices comb of
+    rows; vertex u of rows becomes vertex u + 1."""
+    new = [row << 1 for row in rows]
     mask = 0
     for i in comb:
-        new[i] |= 1 << n
-        mask |= 1 << i
-    new.append(mask)
-    return tuple(new)
+        new[i] |= 1
+        mask |= 2 << i
+    return (mask, *new)
 
 
 def _extensions(prows: tuple[int, ...], minpop: int,
                 book: tuple[int, int] | None,
                 state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
     """Book-free one-vertex extensions of prows, as (child rows, degree t of
-    the appended vertex), by descending t >= minpop and then lexicographic
-    neighbourhood.  Every neighbourhood tried costs one state tick.
+    the new vertex), by descending t >= minpop and then lexicographic
+    neighbourhood.  The new vertex takes label 0 (see _child_rows).  Every
+    neighbourhood tried costs one state tick.
 
-    Degree rule: only neighbourhoods that leave the new vertex at maximum
-    degree in the child are tried, i.e. t >= max degree of prows and every
-    neighbour has degree below t in prows.  Sound, because canon_rows orders
-    vertices by ascending degree (_refine splits degree groups in ascending
-    order), so the last canonical vertex w of any class G has maximum
-    degree t.  G is accepted from its canonical parent P = [G - w] only,
-    and the neighbourhood that rebuilds G from P passes the rule: a
-    neighbour of w has degree at most t - 1 in P, a non-neighbour at most t.
-    Children of one parent are deduplicated and accepted on their class
-    alone, so skipping the other neighbourhoods of the same class loses
-    nothing.  The BB leaf level and the minpop edge bound follow the same
+    Degree rule: only neighbourhoods that leave the new vertex at minimum
+    degree in the child are tried, i.e. t <= min degree of prows + 1, every
+    vertex of degree t - 1 in prows is a neighbour, and the other neighbours
+    have degree at least t.  Sound, because canon_rows orders vertices by
+    ascending degree (_refine splits degree groups in ascending order), so
+    the vertex w at canonical position 0 of any class G has minimum degree
+    t.  G is accepted from its canonical parent P = [G - w] only, and the
+    neighbourhood that rebuilds G from P passes the rule: a neighbour of w
+    has degree at least t - 1 in P, a non-neighbour at least t.  Children
+    of one parent are deduplicated and accepted on their class alone, so
+    skipping the other neighbourhoods of the same class loses nothing.  The
+    BB leaf level and the minpop edge bound follow the same
     canonical-deletion chain, so they keep every class they kept.
 
     Book rule: a child is kept iff no r-clique inside the closed
-    neighbourhood N[n] of the new vertex n has k common neighbours.  The
-    parent is book-free, so every book of the child uses n: as a spine
-    vertex, and then the spine lies in N[n], or as a page, and then the
-    spine lies in N(n).  Conversely an r-clique with k common neighbours is
-    the spine of a book wherever it lies.  The clique walk takes n, the top
-    label, first.
+    neighbourhood N[0] of the new vertex 0 has k common neighbours.  The
+    parent is book-free, so every book of the child uses vertex 0: as a
+    spine vertex, and then the spine lies in N[0], or as a page, and then
+    the spine lies in N(0).  Conversely an r-clique with k common
+    neighbours is the spine of a book wherever it lies.
 
     Twin rule: a neighbourhood S is tried only if it takes a label-order
     prefix of each twin class of prows, the open-twin and closed-twin
     classes of canon._twin_roots.  Sound: permuting the vertices inside a
-    twin class is an automorphism sigma of the parent; extended to fix n,
-    it maps P + S onto P + sigma(S).  So S and sigma(S) fare alike under the
-    degree rule (twins have equal degree), the book rule, the partition
-    precheck of _children (refinement is isomorphism-invariant) and, at the
-    BB leaf, the edge bound and colorability, and give one canonical form.
-    The prefix form comes first among the sets of its orbit in the order
-    tried: all have the same t, and its i-th smallest vertex is at most
-    that of any other.  So the first passing extension of each class is a
-    prefix form, _children returns the same list in the same order, and the
-    BB leaf records the same classes in the same order (its incumbent only
-    rises, so where S passes, its prefix form passed earlier).  Only the
-    node count changes.  Twins have equal degree, so the candidates hold
-    whole twin classes, and while t is at least their number, the only
-    t-set takes every class whole: the classes are found at the first t
-    below that, and a parent without twins takes every combination
-    unchecked.
+    twin class is an automorphism sigma of the parent; extended to fix the
+    new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S) fare
+    alike under the degree rule (twins have equal degree), the book rule,
+    the partition precheck of _children (refinement is
+    isomorphism-invariant) and, at the BB leaf, the edge bound and
+    colorability, and give one canonical form.  The prefix form comes first
+    among the sets of its orbit in the order tried: all have the same t,
+    and its i-th smallest vertex is at most that of any other.  So the
+    first passing extension of each class is a prefix form, _children
+    returns the same list in the same order, and the BB leaf records the
+    same classes in the same order (its incumbent only rises, so where S
+    passes, its prefix form passed earlier).  Only the node count changes.
+    Twins have equal degree, so the forced neighbours and the candidates
+    each hold whole twin classes, and the prefix test looks at the chosen
+    candidates only.  While the candidates are no more than the neighbours
+    still to choose, the only choice takes every class whole: the classes
+    are found at the first t with a real choice, and a parent without twins
+    takes every combination unchecked.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
     below: list[int] | None = None  # the bit of the twin of u just below u
     twins = False
-    for t in range(n, max(minpop, max(degs)) - 1, -1):
-        free = [u for u in range(n) if degs[u] < t]
-        if below is None and len(free) > t:
+    for t in range(min(degs) + 1, max(minpop, 0) - 1, -1):
+        forced = tuple(u for u in range(n) if degs[u] == t - 1)
+        pick = t - len(forced)
+        if pick < 0:
+            continue
+        free = [u for u in range(n) if degs[u] >= t]
+        if below is None and len(free) > pick:
             below = [0] * n
             top: dict[int, int] = {}
             for u, root in enumerate(_twin_roots(prows)):
@@ -202,7 +212,7 @@ def _extensions(prows: tuple[int, ...], minpop: int,
                     below[u] = 1 << top[root]
                 top[root] = u
             twins = any(below)
-        for comb in combinations(free, t):
+        for comb in combinations(free, pick):
             if twins:
                 need = mask = 0
                 for u in comb:
@@ -211,9 +221,9 @@ def _extensions(prows: tuple[int, ...], minpop: int,
                 if need & ~mask:  # a twin below some u is missing
                     continue
             state.tick()
-            crows = _child_rows(prows, comb)
+            crows = _child_rows(prows, forced + comb)
             if book is None or _book_clique(
-                    crows, *book, crows[n] | 1 << n) is None:
+                    crows, *book, crows[0] | 1) is None:
                 yield crows, t
 
 
@@ -222,39 +232,38 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     """Accepted canonical-augmentation children of one parent class.
 
     prows must be canonically labelled.  Returns (canonical child rows,
-    degree of the appended vertex); only children whose new vertex carries at
+    degree of the new vertex); only children whose new vertex carries at
     least minpop edges are generated.
 
-    Partition precheck: an extension whose new vertex n leaves the last cell
-    of its equitable refinement is rejected before labelling (canon), since
-    the last canonical vertex always lies in that cell.  Sound: if G is
-    accepted from P, then G - w is isomorphic to P for the last canonical
-    vertex w of G, so P has an extension X that rebuilds G with its new
-    vertex at w.  The ordered refinement is isomorphism-invariant and w lies
-    in G's last cell, so X's new vertex lies in X's last cell; X also passes
-    the degree rule (see _extensions).  Children are deduplicated and
-    accepted on their class alone, so skipping other extensions of G loses
-    nothing.  Only the order of the accepted children can differ from a
-    search without the precheck: each class enters at its first extension
-    that passes.
+    Partition precheck: an extension whose new vertex 0 leaves the first
+    cell of its equitable refinement is rejected before labelling (canon),
+    since the vertex at canonical position 0 always lies in that cell.
+    Sound: if G is accepted from P, then G - w is isomorphic to P for the
+    vertex w at canonical position 0 of G, so P has an extension X that
+    rebuilds G with its new vertex at w.  The ordered refinement is
+    isomorphism-invariant and w lies in G's first cell, so X's new vertex
+    lies in X's first cell; X also passes the degree rule (see
+    _extensions).  Children are deduplicated and accepted on their class
+    alone, so skipping other extensions of G loses nothing.  Only the order
+    of the accepted children can differ from a search without the
+    precheck: each class enters at its first extension that passes.
     """
-    n = len(prows)
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
     for crows, t in _extensions(prows, minpop, book, state):
-        root = canon(crows, n)
+        root = canon(crows, 0)
         if root is None:
             continue
         ckey, perm = canon_rows(crows, root)
         if ckey in seen:
             continue
         seen.add(ckey)
-        # delete the vertex at the last canonical position; accept the
-        # child iff that recovers the generating parent class.  If that
-        # vertex is the new one (perm[n] == n), the deletion is prows
-        # relabelled by perm, whose canonical form is prows: no canon call.
-        if perm[n] == n or canon_rows(
-                tuple(row & ~(1 << n) for row in ckey[:n]))[0] == prows:
+        # delete the vertex at canonical position 0; accept the child iff
+        # that recovers the generating parent class.  If that vertex is the
+        # new one (perm[0] == 0), the deletion is prows relabelled by perm,
+        # whose canonical form is prows: no canon call.
+        if perm[0] == 0 or canon_rows(
+                tuple(row >> 1 for row in ckey[1:]))[0] == prows:
             out.append((ckey, t))
     return out
 
@@ -312,66 +321,40 @@ def enumerate_extremal(params: CaseParams,
                           nodes=state.nodes)
 
 
-def _max_free_degree(prows: tuple[int, ...], r: int, k: int,
-                     floor: int) -> int:
-    """M(P): the largest degree of a new vertex v that leaves P + v free of
-    B_{r,k}, with no degree rule.  When M(P) is below floor, the result is
-    some value below floor instead; the caller builds no child then,
-    whatever M(P) is.  No test ticks a node counter.
+def _max_free_degree(prows: tuple[int, ...], r: int, k: int) -> int:
+    """An upper bound on M(P): the largest degree of a new vertex v that
+    leaves P + v free of B_{r,k}, with no degree rule.  No test ticks a node
+    counter.
 
-    M(P) = j - d, where d is the fewest vertices to drop from N(v) = P to
-    leave P + v book-free.  P is book-free, so every book of P + v uses v:
-    as a page of an r-clique inside N(v) with k - 1 common neighbours in P,
-    or on the spine beside an (r - 1)-clique inside N(v) with k common
-    neighbours in N(v).  Its edges at v end in its spine, or in its other
-    spine vertices and k pages; the book survives unless one of those is
-    dropped.  So the search finds a book and branches on which of those at
-    most r + k - 1 vertices to drop; a later branch keeps every vertex an
-    earlier sibling dropped, so no drop set is tried twice.  The budget of
-    drops rises from 0, so M = j, j - 1, ... are tried in turn, and the
-    first budget that clears the neighbourhood is d; past j - floor the
-    search stops.  Books found are kept per neighbourhood, because each
-    larger budget walks the same neighbourhoods again, so the low budgets
-    cost dictionary hits.
+    Start with v joined to all of P.  P is book-free, so every book of
+    P + v uses v: as a page of an r-clique inside N(v) with k - 1 common
+    neighbours in P, or on the spine beside an (r - 1)-clique inside N(v)
+    with k common neighbours in N(v).  Its edges at v end in its spine, or
+    in its other spine vertices and k pages.  Find one such book, drop
+    those vertices from N(v), count it and repeat until P + v is
+    book-free.  Sound: each dropped set lies inside the N(v) it was found
+    in, so the dropped sets are disjoint, and each book survives in any
+    extension whose neighbourhood keeps all of its dropped set.  So every
+    book-free extension leaves out at least count vertices of P, and
+    M(P) <= j - count.  The cut in _bb_unit needs only an upper bound, so
+    ties still survive.
     """
     j = len(prows)
-    books: dict[int, int] = {}
-
-    def book_at_v(nbhd: int) -> int:
-        # the vertices of one book of P + v whose edges at v it uses, or 0
-        if nbhd not in books:
-            pages = 0
-            found = _book_clique(prows, r, k - 1, nbhd)
+    nbhd = (1 << j) - 1
+    count = 0
+    while True:
+        found = _book_clique(prows, r, k - 1, nbhd)
+        pages = 0
+        if found is None:
+            found = _book_clique(prows, r - 1, k, nbhd, nbhd)
             if found is None:
-                found = _book_clique(prows, r - 1, k, nbhd, nbhd)
-                if found is not None:
-                    rest = found[1]
-                    for _ in range(k):
-                        rest &= rest - 1
-                    pages = found[1] ^ rest
-            books[nbhd] = 0 if found is None else pages | sum(
-                1 << u for u in found[0])
-        return books[nbhd]
-
-    def clears(nbhd: int, keep: int, budget: int) -> bool:
-        hit = book_at_v(nbhd)
-        if not hit:
-            return True
-        if budget == 0:
-            return False
-        hit &= ~keep
-        while hit:
-            u = hit.bit_length() - 1
-            hit ^= 1 << u
-            if clears(nbhd & ~(1 << u), keep, budget - 1):
-                return True
-            keep |= 1 << u
-        return False
-
-    for budget in range(j - max(floor, 0) + 1):
-        if clears((1 << j) - 1, 0, budget):
-            return j - budget
-    return floor - 1
+                return j - count
+            rest = found[1]
+            for _ in range(k):
+                rest &= rest - 1
+            pages = found[1] ^ rest
+        nbhd &= ~(pages | sum(1 << u for u in found[0]))
+        count += 1
 
 
 def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
@@ -386,23 +369,23 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     result is independent of how units are assigned to workers.
 
     Neighbourhood bound.  A class G of order n is reached through its
-    canonical-deletion chain, whose prefix P of order j induces P on the
-    first j vertices of G.  Every later vertex v of G keeps G[P + v]
-    book-free, as an induced subgraph of a book-free graph, so v has at most
-    M(P) = _max_free_degree(P) neighbours in P.  A child of P adds a vertex
-    of degree t; each of the n - j - 1 vertices after it then has at most
-    M(P) + 1 earlier neighbours, the +1 being the child's own new vertex,
-    and they span at most turan_edge_count(n - j - 1, r + k - 1) edges among
-    themselves, since a book-free graph has no K_{r+k}.  So a child with
-    t < local_inc - e - (that capacity) cannot reach the incumbent and is
-    not built.  The cut is strict: a graph with exactly local_inc edges
-    meets the bound at every prefix of its chain, so ties survive and the
-    extremal set is complete.  At the leaf level no vertex follows, and the
-    bound is t >= local_inc - e.
+    canonical-deletion chain, whose prefix P of order j is an induced
+    subgraph of G.  Every later vertex v of G keeps G[P + v] book-free, as
+    an induced subgraph of a book-free graph, so v has at most M(P)
+    neighbours in P, and M(P) <= m = _max_free_degree(P).  A child of P
+    adds a vertex of degree t; each of the n - j - 1 vertices after it then
+    has at most m + 1 neighbours in the child, the +1 being the child's own
+    new vertex, and they span at most turan_edge_count(n - j - 1, r + k - 1)
+    edges among themselves, since a book-free graph has no K_{r+k}.  So a
+    child with t < local_inc - e - (that capacity) cannot reach the
+    incumbent and is not built.  The cut is strict: a graph with exactly
+    local_inc edges meets the bound at every prefix of its chain, so ties
+    survive and the extremal set is complete.  At the leaf level no vertex
+    follows, and the bound is t >= local_inc - e.
 
-    M(P) is computed once per expanded node, and only once an incumbent
-    exists.  M(P) <= j, so the bound is never weaker than letting every
-    future vertex join all of P.
+    m is computed once per expanded node, and only once an incumbent
+    exists.  m <= j, so the bound is never weaker than letting every future
+    vertex join all of P.
     """
     (rows, e0, stop, n, r, k, inc0, node_limit) = args
     state = _State(node_limit)
@@ -417,12 +400,9 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
             minpop = 0
             if local_inc is not None:
                 rest = n - j - 1
-                gap = local_inc - e - turan_edge_count(rest,
-                                                       min(r + k - 1, rest))
-                # a child has t <= j, so any m with gap - rest * (m + 1) > j
-                # builds none: M(P) matters from ceil((gap - j) / rest) - 1 on
-                m = _max_free_degree(prows, r, k, -(-(gap - j) // rest) - 1)
-                minpop = gap - rest * (m + 1)
+                minpop = (local_inc - e
+                          - rest * (_max_free_degree(prows, r, k) + 1)
+                          - turan_edge_count(rest, min(r + k - 1, rest)))
             for crows, t in _children(prows, minpop, (r, k), state):
                 if j + 1 < stop:
                     dfs(crows, e + t)
@@ -451,17 +431,18 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
 def branch_bound_extremal(params: CaseParams,
                           budget: SearchBudget | None = None) -> ExtremalReport:
     """Maximize edges over non-r-colorable book-free graphs of order n by
-    isomorphism-free vertex-incremental search.
+    isomorphism-free vertex-incremental search along the min-degree
+    deletion chain, the generator of enumerate_extremal.
 
     Pruning: (i) a child is not built once its edges plus the neighbourhood
     bound cannot tie the incumbent: each undecided vertex joins at most
-    M(P) + 1 earlier vertices, M(P) being the largest book-free one-vertex
-    extension degree of the parent P and the +1 the child's own new vertex,
-    and the undecided vertices span at most the Turán number of K_{r+k}
-    among themselves (see _bb_unit for the soundness argument); (ii) book
-    containment is checked incrementally on each added vertex; (iii) the
-    incumbent starts from the constructed families, giving a certified lower
-    bound.  Ties with the incumbent are never pruned, so the full extremal
+    m + 1 vertices of the child, m being the disjoint-book upper bound on
+    the largest book-free one-vertex extension degree of the parent P and
+    the +1 the child's own new vertex, and the undecided vertices span at
+    most the Turán number of K_{r+k} among themselves (see _bb_unit for the
+    soundness argument); (ii) book containment is checked incrementally on
+    each added vertex; (iii) the incumbent starts from the constructed
+    families, giving a certified lower bound.  Ties with the incumbent are never pruned, so the full extremal
     set survives.  enumerate_extremal walks the same tree unpruned and is
     the reference these rules are tested against.
 

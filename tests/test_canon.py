@@ -178,10 +178,10 @@ def test_twin_roots_match_pairwise_closure():
         assert classes == twin_classes_by_closure(g.rows), g.rows
 
 
-def test_last_canonical_vertex_lies_in_last_root_cell():
+def test_first_canonical_vertex_lies_in_first_root_cell():
     # the rule canonical augmentation rejects children on: the vertex that
-    # canon_rows puts last lies in the last cell of canon's root partition,
-    # and canon rejects exactly the vertices outside that cell
+    # canon_rows puts at position 0 lies in the first cell of canon's root
+    # partition, and canon rejects exactly the vertices outside that cell
     rnd = random.Random(17)
     graphs = []
     for n in range(1, 8):
@@ -194,11 +194,11 @@ def test_last_canonical_vertex_lies_in_last_root_cell():
     graphs += [relabelled_join(rnd) for _ in range(100)]
     for g in graphs:
         n = g.order
-        last_cell = canon(g.rows, -1)[-1]
+        first_cell = canon(g.rows, -1)[0]
         _, perm = canon_rows(g.rows)
-        assert perm.index(n - 1) in last_cell, g.rows
+        assert perm.index(0) in first_cell, g.rows
         for v in range(n):
-            assert (canon(g.rows, v) is not None) == (v in last_cell), g.rows
+            assert (canon(g.rows, v) is not None) == (v in first_cell), g.rows
 
 
 def relabelled_family_rows(rnd, orders):

@@ -125,7 +125,7 @@ def test_book_agrees_with_subgraph_oracle_small():
 
 def test_book_through_new_vertex_lies_in_its_closed_neighbourhood():
     # the search's incremental book test: a book-free parent gains a book
-    # exactly when some r-clique inside N[n] of the new vertex n has k
+    # exactly when some r-clique inside N[0] of the new vertex 0 has k
     # common neighbours
     for r, k in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
         pattern = generalized_book(r, k)
@@ -134,7 +134,10 @@ def test_book_through_new_vertex_lies_in_its_closed_neighbourhood():
                 for t in range(n + 1):
                     for comb in combinations(range(n), t):
                         rows = _child_rows(parent.rows, comb)
-                        walked = _book_clique(rows, r, k, rows[n] | 1 << n)
+                        assert rows[1:] == tuple(
+                            row << 1 | (u in comb)
+                            for u, row in enumerate(parent.rows))
+                        walked = _book_clique(rows, r, k, rows[0] | 1)
                         embedded = contains_subgraph(Graph(rows), pattern)
                         assert (walked is None) == (embedded is None), \
                             (parent.rows, comb, r, k)

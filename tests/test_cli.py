@@ -244,9 +244,9 @@ def test_search_workers_byte_identical(capsys):
 
 
 def test_search_node_limit_truncates_deterministically(capsys):
-    # each of the 181 classes that branch-and-bound expands is a unit capped
-    # at 100 nodes: all of them run and 7 are cut (complete: nodes=3801,
-    # the largest unit 169)
+    # each of the 176 classes that branch-and-bound expands is a unit capped
+    # at 100 nodes: all of them run and 4 are cut (complete: nodes=1498,
+    # the largest unit 229)
     outs = set()
     for w in ("1", "2"):
         code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",
@@ -255,7 +255,7 @@ def test_search_node_limit_truncates_deterministically(capsys):
         assert code == 0
         assert out.splitlines()[0] == (
             "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
-            " nodes=3675 exhaustive=false")
+            " nodes=1158 exhaustive=false")
         outs.add(out)
     assert len(outs) == 1
     with pytest.raises(SystemExit) as exc:
