@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph
+from .graphs import Graph, _twin_roots
 
 CanonicalForm = bytes
 Cells = list[list[int]]
@@ -41,27 +41,6 @@ def _mask_of(vertices: list[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _twin_roots(rows: tuple[int, ...]) -> list[int]:
-    """Class labels of the relation "swapping u and v is an automorphism".
-
-    Two vertices are twins when their open neighbourhoods coincide, or their
-    closed neighbourhoods coincide; chains of such transpositions compose to
-    automorphisms, so one representative per class suffices while branching.
-    No vertex u has both an open twin v and a closed twin w: w is adjacent
-    to u, so w lies in N(u) = N(v) and v in N(w), hence in N[u]; but open
-    twins are non-adjacent.  So each class is one open-twin or one
-    closed-twin class, labelled by its first vertex: the smaller of the
-    first vertex with v's open row and the first with v's closed row.
-    """
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        first_open.setdefault(row, v)
-        first_closed.setdefault(row | 1 << v, v)
-    return [min(first_open[row], first_closed[row | 1 << v])
-            for v, row in enumerate(rows)]
 
 
 def _refine(rows: tuple[int, ...], cells: Cells, queue: deque[int],

@@ -7,13 +7,21 @@ embedded book may be adjacent to each other in the host.  A book is found by
 one clique walk (_book_clique), which also serves the search's incremental
 book test; the witness names the first spine in descending label order and
 its k lowest common neighbours as pages.
+
+Both decisions use the graph's twin automorphisms (graphs._twin_roots), which
+the pentagon blow-ups joined with Turan graphs have in plenty: the book walk
+skips the twins of a spine vertex whose walk failed, and colorability is
+refuted on one vertex per open-twin class.  Each rule only cuts work that
+cannot succeed, so every answer and every witness is that of the plain
+search; the soundness arguments are in the docstrings of _book_clique and
+is_r_colorable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, remove_edge
+from .graphs import Graph, _bits, _twin_roots, remove_edge
 
 
 @dataclass(frozen=True)
@@ -48,23 +56,26 @@ def greedy_clique(g: Graph) -> list[int]:
     return sorted(clique)
 
 
+def _twin_nodes(rows: tuple[int, ...]) -> list[list[int]]:
+    """The classes of graphs._twin_roots in order of their first vertex,
+    each in label order, an open-twin class (pairwise non-adjacent, so any
+    one of its vertices stands for the others) cut to its first vertex."""
+    nodes: dict[int, list[int]] = {}
+    for v, root in enumerate(_twin_roots(rows)):
+        if root == v or rows[v] >> root & 1:
+            nodes.setdefault(root, []).append(v)
+    return list(nodes.values())
+
+
 def _twin_quotient(rows: tuple[int, ...]):
     """Collapse interchangeable vertices for clique search.
 
-    First merge vertices with equal open neighbourhoods (a clique can use at
-    most one of them), then merge the representatives with equal closed
-    neighbourhoods (a clique can use all of them).  Returns the quotient
-    node member-lists, their weights, and the quotient adjacency masks.
+    A clique can use at most one vertex of an open-twin class and all of a
+    closed-twin class, so each node of _twin_nodes is one quotient node
+    weighted by its size.  Returns the quotient node member-lists, their
+    weights, and the quotient adjacency masks.
     """
-    n = len(rows)
-    by_open: dict[int, list[int]] = {}
-    for v in range(n):
-        by_open.setdefault(rows[v], []).append(v)
-    reps = sorted(cls[0] for cls in by_open.values())
-    by_closed: dict[int, list[int]] = {}
-    for v in reps:
-        by_closed.setdefault(rows[v] | 1 << v, []).append(v)
-    nodes = sorted(by_closed.values())
+    nodes = _twin_nodes(rows)
     t = len(nodes)
     adj = [0] * t
     for i in range(t):
@@ -115,31 +126,77 @@ def contains_clique(g: Graph, r: int) -> frozenset[int] | None:
 
 
 def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
-                 common: int = -1) -> tuple[list[int], int] | None:
-    """First r-clique inside the vertex mask within with at least k common
-    neighbours, as (clique, common neighbourhood), or None.
+                 common: int = -1, twins: list[int] | None = None,
+                 ) -> tuple[list[int], int] | None:
+    """First r-clique (r >= 2) inside the vertex mask within with at least k
+    common neighbours, as (clique in ascending label order, common
+    neighbourhood), or None.
 
-    Vertices are taken from the highest label down; a recursive call gets
-    the candidates below and adjacent to every vertex chosen so far, and
-    their common neighbourhood so far (-1 before the first choice).
+    Spine vertices are chosen from the highest label down.  Each level of
+    the walk takes its highest candidate w; the next level's candidates are
+    those below w and adjacent to every vertex chosen so far, and its common
+    neighbourhood is the one so far cut by N(w) (common = -1 before the
+    first choice).  The levels above the last two live on an explicit
+    stack, so a spine longer than the interpreter's recursion limit needs
+    no call stack; the last two are one pair of nested loops.
+
+    Twin rule: with twins (twins[v] the mask of v's class of
+    graphs._twin_roots), once the walk under spine vertex w has failed,
+    w's twins leave the candidates of w's level, not just w.  Sound when
+    the walk starts from common = -1.  Let w' < w be a twin of w among
+    those candidates; the transposition s = (w w') is an automorphism.  It
+    fixes the vertices chosen above the level, which lie above w, and so
+    their common neighbourhood too.  Every candidate above w has already
+    left the level, so the failed walk under w covered every clique of the
+    level that holds w.  A clique C of the level that holds w' and not w
+    then fails too: s(C) holds w, lies in the level's candidates with w
+    added, and is a clique of the level whose common neighbourhood is the
+    image of C's, hence as large.  So the dropped vertices start or join no
+    success, the walk meets the same first success, and the witness is
+    unchanged.  Only contains_generalized_book passes twins.  The search's
+    book tests run on graphs of a dozen vertices, where finding the classes
+    costs about what they save, and its spine test in _max_free_degree
+    starts from a common neighbourhood that twin swaps need not fix.
     """
-    if r == 1:
-        while within:
-            w = within.bit_length() - 1
-            within ^= 1 << w
-            shared = common & rows[w]
-            if shared.bit_count() >= k:
-                return [w], shared
-        return None
-    while within.bit_count() >= r:
-        w = within.bit_length() - 1
-        within ^= 1 << w
-        row = rows[w]
-        found = _book_clique(rows, r - 1, k, within & row, common & row)
-        if found is not None:
-            found[0].append(w)
-            return found
-    return None
+    stack: list[tuple[int, int, int]] = []  # (w, candidates left, common)
+    need = r
+    while True:
+        if need > 2:
+            if within.bit_count() >= need:
+                w = within.bit_length() - 1
+                within ^= 1 << w
+                stack.append((w, within, common))
+                row = rows[w]
+                within &= row
+                common &= row
+                need -= 1
+                continue
+        else:
+            while within.bit_count() >= 2:
+                w = within.bit_length() - 1
+                within ^= 1 << w
+                row = rows[w]
+                last = within & row
+                pair = common & row
+                while last:
+                    u = last.bit_length() - 1
+                    shared = pair & rows[u]
+                    if shared.bit_count() >= k:
+                        spine = [u, w]
+                        for frame in reversed(stack):
+                            spine.append(frame[0])
+                        return spine, shared
+                    last ^= 1 << u
+                    if twins:
+                        last &= ~twins[u]
+                if twins:
+                    within &= ~twins[w]
+        if not stack:
+            return None
+        w, within, common = stack.pop()
+        need += 1
+        if twins:
+            within &= ~twins[w]
 
 
 def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
@@ -155,7 +212,13 @@ def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
         raise ValueError(f"book spine needs r >= 2, got {r}")
     if k < 1:
         raise ValueError(f"book needs k >= 1 pages, got {k}")
-    found = _book_clique(g.rows, r, k, (1 << g.order) - 1)
+    rows = g.rows
+    roots = _twin_roots(rows)
+    classes: dict[int, int] = {}
+    for v, root in enumerate(roots):
+        classes[root] = classes.get(root, 0) | 1 << v
+    found = _book_clique(rows, r, k, (1 << len(rows)) - 1,
+                         twins=[classes[root] for root in roots])
     if found is None:
         return None
     clique, common = found
@@ -207,12 +270,35 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
     """A proper r-coloring, or None.  Exact backtracking, saturation-first
     vertex order (ties by degree then label), one fresh color allowed per
     step, and a greedy clique pre-colored to break color symmetry.
+
+    Open-twin rule: when g has open twins (vertices with equal
+    neighbourhoods, which are pairwise non-adjacent), the induced subgraph
+    on the vertices of _twin_nodes, one per open-twin class, is searched
+    first, and a "no" there is the answer.  Sound: open twins u and v have
+    equal neighbourhoods, so a coloring of g - v extends to g by giving v
+    the color of u, and g is r-colorable iff that subgraph is.  A "yes"
+    there falls through to the search on g itself, so the witness is
+    unchanged.
     """
     if r < 1:
         raise ValueError(f"color count must be >= 1, got {r}")
+    rows = g.rows
+    reps = [v for node in _twin_nodes(rows) for v in node]
+    if len(reps) < len(rows):
+        index = {v: i for i, v in enumerate(reps)}
+        sub = tuple(sum(1 << index[u] for u in _bits(rows[v]) if u in index)
+                    for v in reps)
+        if _coloring(Graph(sub), r) is None:
+            return None
+    classes = _coloring(g, r)
+    return None if classes is None else ColoringWitness(classes)
+
+
+def _coloring(g: Graph, r: int) -> tuple[int, ...] | None:
+    """The color classes that is_r_colorable's search finds, or None."""
     n = g.order
     if n == 0:
-        return ColoringWitness(())
+        return ()
     rows = g.rows
     clique = greedy_clique(g)
     if len(clique) > r:
@@ -262,7 +348,7 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
     # limit), trying each frame's colours in ascending order
     frame = pick(len(clique))
     if frame is None:
-        return ColoringWitness(tuple(colors))
+        return tuple(colors)
     stack = [frame]
     while stack:
         frame = stack[-1]
@@ -277,7 +363,7 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
         assign(v, c)
         frame = pick(max(max_used, c + 1))
         if frame is None:
-            return ColoringWitness(tuple(colors))
+            return tuple(colors)
         stack.append(frame)
     return None
 

@@ -20,6 +20,32 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
+def _twin_roots(rows: tuple[int, ...]) -> list[int]:
+    """Class labels of the relation "swapping u and v is an automorphism".
+
+    Two vertices are twins when their open neighbourhoods coincide, or their
+    closed neighbourhoods coincide; chains of such transpositions compose to
+    automorphisms, so a search that commutes with automorphisms needs one
+    representative per class.  No vertex u has both an open twin v and a
+    closed twin w: w is adjacent to u, so w lies in N(u) = N(v) and v in
+    N(w), hence in N[u]; but open twins are non-adjacent.  So each class is
+    one open-twin or one closed-twin class, labelled by its first vertex:
+    the smaller of the first vertex with v's open row and the first with
+    v's closed row.
+
+    This is the package's one twin relation: canon branches on it, and
+    canonical augmentation in search and the book walk, clique search and
+    colouring in checkers prune on it.
+    """
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        first_open.setdefault(row, v)
+        first_closed.setdefault(row | 1 << v, v)
+    return [min(first_open[row], first_closed[row | 1 << v])
+            for v, row in enumerate(rows)]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on labelled vertices 0..n-1."""

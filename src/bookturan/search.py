@@ -57,13 +57,12 @@ from functools import cache
 from itertools import combinations
 from multiprocessing import get_context
 
-from .canon import (_twin_roots, canon, canon_rows, dedup_by_isomorphism,
-                    pack_rows)
+from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (_c5_join, _family_specs, _Spec,
                             dihedral_profile, extremal_family_graphs)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
-from .graphs import Graph
+from .graphs import Graph, _twin_roots
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def _extensions(prows: tuple[int, ...], minpop: int,
 
     Twin rule: a neighbourhood S is tried only if it takes a label-order
     prefix of each twin class of prows, the open-twin and closed-twin
-    classes of canon._twin_roots.  Sound: permuting the vertices inside a
+    classes of graphs._twin_roots.  Sound: permuting the vertices inside a
     twin class is an automorphism sigma of the parent; extended to fix the
     new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S) fare
     alike under the degree rule (twins have equal degree), the book rule,

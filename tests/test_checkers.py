@@ -4,16 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bookturan.checkers import (BookWitness, _book_clique, chromatic_number,
-                                contains_clique,
+from bookturan.checkers import (BookWitness, _book_clique, _coloring,
+                                chromatic_number, contains_clique,
                                 contains_generalized_book, contains_subgraph,
                                 greedy_clique, is_color_critical,
                                 is_nonpartite_book_free, is_r_colorable)
 from bookturan.constructions import (c5_blowup, complete_multipartite,
                                      generalized_book, turan_graph)
 from bookturan.formulas import CaseParams
-from bookturan.constructions import family_g2
-from bookturan.graphs import Graph, empty_graph, from_edges, join
+from bookturan.constructions import extremal_family_graphs, family_g2
+from bookturan.graphs import (Graph, _bits, add_edge, empty_graph, from_edges,
+                              join, relabel)
 from bookturan.search import _child_rows, generate_graphs
 
 from test_graphs import random_graph
@@ -291,3 +292,83 @@ def test_family_members_pass_candidacy_for_all_small_k():
         for g in extremal_family_graphs(CaseParams(n, r), "theorem1"):
             for k in range(1, 6):
                 assert is_nonpartite_book_free(g, r, k)
+
+
+def _book_without_twin_rule(g, r, k):
+    # contains_generalized_book as it was with no twin rule, as
+    # (clique, pages): the recursive walk over every spine vertex, from the
+    # highest label down
+    rows = g.rows
+
+    def walk(r, within, common):
+        if r == 1:
+            while within:
+                w = within.bit_length() - 1
+                within ^= 1 << w
+                shared = common & rows[w]
+                if shared.bit_count() >= k:
+                    return [w], shared
+            return None
+        while within.bit_count() >= r:
+            w = within.bit_length() - 1
+            within ^= 1 << w
+            found = walk(r - 1, within & rows[w], common & rows[w])
+            if found is not None:
+                return found[0] + [w], found[1]
+        return None
+
+    found = walk(r, (1 << g.order) - 1, -1)
+    if found is None:
+        return None
+    return frozenset(found[0]), frozenset(list(_bits(found[1]))[:k])
+
+
+def assert_twin_rules_change_nothing(g, r, k):
+    w = contains_generalized_book(g, r, k)
+    assert (None if w is None else (w.clique, w.pages)) \
+        == _book_without_twin_rule(g, r, k), (g.rows, r, k)
+    # is_r_colorable as it was with no open-twin rule: its search on g itself
+    c = is_r_colorable(g, r)
+    assert (None if c is None else c.classes) == _coloring(g, r), (g.rows, r)
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    # a small graph, then up to five planted twins, each copying the open or
+    # the closed neighbourhood of an earlier vertex, then relabelled
+    g = draw(small_graphs(max_order=7).filter(lambda g: g.order > 0))
+    rows = list(g.rows)
+    for closed in draw(st.lists(st.booleans(), max_size=5)):
+        source = draw(st.integers(0, len(rows) - 1))
+        row = rows[source] | closed << source
+        for u in _bits(row):
+            rows[u] |= 1 << len(rows)
+        rows.append(row)
+    perm = draw(st.permutations(range(len(rows))))
+    return relabel(Graph(tuple(rows)), perm)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(twin_rich_graphs(), st.integers(2, 5), st.integers(1, 3))
+def test_twin_rules_match_unpruned_on_planted_twins(g, r, k):
+    g.validate()
+    assert_twin_rules_change_nothing(g, r, k)
+
+
+def test_twin_rules_match_unpruned_on_family_members():
+    # the extremal members (book-free, so the walk runs to the end), each
+    # relabelled, and with one added edge (so a book is found)
+    rnd = random.Random(18)
+    for r in (3, 4, 5):
+        for k in (1, 2, 3):
+            for n in range(r + 3, r + 16):
+                for g in extremal_family_graphs(CaseParams(n, r, k),
+                                                "theorem14"):
+                    perm = list(range(n))
+                    rnd.shuffle(perm)
+                    h = relabel(g, perm)
+                    plus = add_edge(h, *rnd.choice(
+                        [(u, v) for u in range(n) for v in range(u)
+                         if not h.has_edge(u, v)]))
+                    for x in (g, h, plus):
+                        assert_twin_rules_change_nothing(x, r, k)

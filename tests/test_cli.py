@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,10 @@ from bookturan.checkers import is_nonpartite_book_free
 from bookturan.cli import main
 from bookturan.graph6 import decode_graph6, encode_graph6
 from bookturan.canon import is_isomorphic
-from bookturan.constructions import c5_blowup, generalized_book, turan_graph
-from bookturan.graphs import empty_graph, from_edges, join
+from bookturan.constructions import (c5_blowup, extremal_family_graphs,
+                                     generalized_book, turan_graph)
+from bookturan.formulas import CaseParams
+from bookturan.graphs import add_edge, empty_graph, from_edges, join, relabel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -166,6 +170,64 @@ def test_check_long_cycle(tmp_path, capsys):
     assert code == 0
     assert out == ("line=1 n=1500 e=1500 r_colorable=true contains_book=false"
                    " candidate=false\n")
+
+
+def test_check_spine_above_recursion_limit(tmp_path, capsys):
+    # the book walk keeps its levels on a stack, so a complete graph with a
+    # spine longer than the recursion limit is decided with a witness
+    r = sys.getrecursionlimit() + 10
+    n = r + 10
+    path = tmp_path / "complete.g6"
+    path.write_text(encode_graph6(turan_graph(n, n)) + "\n")
+    code, out, err = run_cli(capsys, "check", "--input", str(path),
+                             "--r", str(r), "--k", "1", "--witness")
+    assert code == 0 and err == ""
+    fields = dict(f.split("=") for f in out.split())
+    assert fields["r_colorable"] == "false"
+    assert fields["contains_book"] == "true"
+    assert fields["book_clique"] == ",".join(map(str, range(n - r, n)))
+    assert fields["book_pages"] == "0"
+
+
+def _twin_rich_check_corpus(r, k):
+    # the theorem14 members (book-free and not r-colorable), each with one
+    # added edge (so it holds a book), and Turan graphs (r-colorable), all
+    # relabelled at random: every graph has large twin classes
+    rnd = random.Random(f"check/{r}/{k}")
+    graphs = []
+
+    def shuffled(g):
+        perm = list(range(g.order))
+        rnd.shuffle(perm)
+        return relabel(g, perm)
+
+    for n in range(r + 3, 3 * r + 12, 2):
+        for g in extremal_family_graphs(CaseParams(n, r, k), "theorem14"):
+            h = shuffled(g)
+            graphs.append(h)
+            graphs.append(add_edge(h, *rnd.choice(
+                [(u, v) for u in range(n) for v in range(u)
+                 if not h.has_edge(u, v)])))
+        graphs.append(shuffled(turan_graph(n, r)))
+    return graphs
+
+
+def test_check_witness_lines_are_pinned(tmp_path, capsys):
+    # sha256 of the check --witness lines as they were before the checkers
+    # used twin symmetry: answers and witnesses must not move
+    lines = []
+    for r in (3, 4, 5):
+        for k in (1, 2, 3):
+            path = tmp_path / f"corpus-{r}-{k}.g6"
+            path.write_text("".join(encode_graph6(g) + "\n"
+                                    for g in _twin_rich_check_corpus(r, k)))
+            code, out, _ = run_cli(capsys, "check", "--input", str(path),
+                                   "--r", str(r), "--k", str(k), "--witness")
+            assert code == 0
+            lines += out.splitlines()
+    assert len(lines) == 513
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6868d3f381a1dca9b7f58889f24c601aeafac1bc6932d7a17815382d7ae6bc9a")
 
 
 def test_check_malformed_line_reports_line_number(tmp_path, capsys):
