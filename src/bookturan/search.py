@@ -31,13 +31,18 @@ tried.  Each class still enters at its first passing extension, so this
 changes the node count only.  Book-freeness is kept one vertex at a time:
 a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
-walk that decides book containment in checkers.  Branch-and-bound follows
-the same chain and bounds what a prefix P can still gain: every later
-vertex v keeps G[P + v] book-free, so it has at most M(P) neighbours in P,
-where M(P) is the largest degree of a book-free one-vertex extension of P.
-M(P) is bounded from above by packing vertex-disjoint books of P + v, v
-joined to all of P: each one costs v at least one neighbour (see
-_max_free_degree and _bb_unit).
+walk that decides book containment in checkers.  The acceptance test only
+serves children that are expanded further, so the last order is not
+generated as a level: both engines stream the extensions of each parent
+through one leaf step, _leaves, which canonically labels only the
+non-r-colorable ones that reach the running incumbent, and deduplicate
+those by canonical form.  Branch-and-bound follows the same chain and
+bounds what a prefix P can still gain: every later vertex v keeps G[P + v]
+book-free, so it has at most M(P) neighbours in P, where M(P) is the
+largest degree of a book-free one-vertex extension of P.  M(P) is bounded
+from above by packing vertex-disjoint books of P + v, v joined to all of
+P: each one costs v at least one neighbour (see _max_free_degree and
+_bb_unit).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -161,7 +166,7 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     has degree at least t - 1 in P, a non-neighbour at least t.  Children
     of one parent are deduplicated and accepted on their class alone, so
     skipping the other neighbourhoods of the same class loses nothing.  The
-    BB leaf level and the minpop edge bound follow the same
+    leaf step _leaves and the minpop edge bound follow the same
     canonical-deletion chain, so they keep every class they kept.
 
     Book rule: a child is kept iff no r-clique inside the closed
@@ -178,13 +183,13 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S) fare
     alike under the degree rule (twins have equal degree), the book rule,
     the partition precheck of _children (refinement is
-    isomorphism-invariant) and, at the BB leaf, the edge bound and
+    isomorphism-invariant) and, in _leaves, the edge bound and
     colorability, and give one canonical form.  The prefix form comes first
     among the sets of its orbit in the order tried: all have the same t,
     and its i-th smallest vertex is at most that of any other.  So the
     first passing extension of each class is a prefix form, _children
-    returns the same list in the same order, and the BB leaf records the
-    same classes in the same order (its incumbent only rises, so where S
+    returns the same list in the same order, and _leaves yields the same
+    classes in the same order (its incumbent only rises, so where S
     passes, its prefix form passed earlier).  Only the node count changes.
     Twins have equal degree, so the forced neighbours and the candidates
     each hold whole twin classes, and the prefix test looks at the chosen
@@ -267,6 +272,28 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     return out
 
 
+def _leaves(prows: tuple[int, ...], e: int, inc: int | None, minpop: int,
+            r: int, k: int,
+            state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The last order of both engines: (canonical rows, edges) of each
+    non-r-colorable B_{r,k}-free extension of prows (e edges) whose edge
+    count reaches the running incumbent, which starts at inc and rises to
+    each edge count yielded.  Only these winners are canonically labelled;
+    no acceptance test runs, so a class may come more than once, from one
+    parent or several, and the callers deduplicate by canonical form.  Lazy,
+    so a truncated caller keeps every leaf yielded before its budget ran
+    out."""
+    for crows, t in _extensions(prows, minpop, (r, k), state):
+        ce = e + t
+        if inc is not None and ce < inc:
+            continue
+        if is_r_colorable(Graph(crows), r) is not None:
+            continue
+        if inc is None or ce > inc:
+            inc = ce
+        yield canon_rows(crows)[0], ce
+
+
 def _levels(order: int, book: tuple[int, int] | None,
             state: _State) -> list[tuple[tuple[int, ...], int]]:
     """(canonical rows, edge count) of every book-free class of the given
@@ -293,7 +320,22 @@ def enumerate_extremal(params: CaseParams,
     """Ground-truth oracle: enumerate every book-free class of order n and
     keep the non-r-colorable ones of maximum size.  No edge pruning at all,
     so the optimum needs no admissibility argument.  Runs single-threaded;
-    budget.workers is ignored."""
+    budget.workers is ignored.  A truncated run reports no optimum.
+
+    Order n is not generated as a level: the classes of order n - 1 are,
+    and _leaves runs over each of them with minpop = 0, labelling only the
+    extensions that win.  Sound: let G be any book-free class of order n
+    and w its vertex at canonical position 0.  G - w is isomorphic to a
+    class P of order n - 1, which is in _levels(n - 1).  Among P's
+    extensions, the one that rebuilds G passes the degree rule, and the
+    twin rule tries a prefix form in its orbit, which gives an isomorphic
+    child (see _extensions).  So every class appears at least once,
+    possibly more than once.  Duplicates cannot change the optimum, and the
+    extremal set is deduplicated by its canonical form.  _extensions ticks
+    every neighbourhood it tries, whether _children or _leaves drives it,
+    so nodes= counts what a generated level of order n would.  The
+    acceptance rule at order n is still checked, by the generate_graphs
+    class counts."""
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
     state = _State(budget.node_limit)
@@ -301,19 +343,15 @@ def enumerate_extremal(params: CaseParams,
     best: int | None = None
     winners: dict[bytes, Graph] = {}
     try:
-        level = _levels(n, (r, k), state)
+        for prows, e in (_levels(n - 1, (r, k), state) if n > 1 else ()):
+            for rows, ce in _leaves(prows, e, best, 0, r, k, state):
+                if best is None or ce > best:
+                    best = ce
+                    winners = {}
+                winners[pack_rows(rows)] = Graph(rows)
     except BudgetExceeded:
         exhaustive = False
-        level = []
-    for rows, e in level:
-        if best is not None and e < best:
-            continue
-        if is_r_colorable(Graph(rows), r) is not None:
-            continue
-        if best is None or e > best:
-            best = e
-            winners = {}
-        winners[pack_rows(rows)] = Graph(rows)
+        best, winners = None, {}
     extremal = tuple(winners[key] for key in sorted(winners))
     return ExtremalReport(params=params, method="enumeration", optimum=best,
                           extremal=extremal, exhaustive=exhaustive,
@@ -409,15 +447,9 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
                     found[crows] = e + t
             return
         minpop = 0 if local_inc is None else local_inc - e
-        for crows, t in _extensions(prows, minpop, (r, k), state):
-            ce = e + t
-            if local_inc is not None and ce < local_inc:
-                continue
-            if is_r_colorable(Graph(crows), r) is not None:
-                continue
-            if local_inc is None or ce > local_inc:
-                local_inc = ce
-            found[canon_rows(crows)[0]] = ce
+        for crows, ce in _leaves(prows, e, local_inc, minpop, r, k, state):
+            local_inc = ce
+            found[crows] = ce
 
     assert len(rows) < stop <= n, "a work unit grows its class"
     try:

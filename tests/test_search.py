@@ -8,7 +8,7 @@ from bookturan import search
 from bookturan.canon import (canon, canon_rows, canonical_form,
                             dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
-                                is_nonpartite_book_free)
+                                is_nonpartite_book_free, is_r_colorable)
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      family_g3, generalized_book,
                                      turan_graph, turan_part_sizes)
@@ -17,7 +17,7 @@ from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
 from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
-                              _children, _max_free_degree,
+                              _children, _levels, _max_free_degree,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
@@ -125,6 +125,66 @@ def test_enumerate_small_orders():
     assert rep5.optimum is None and rep5.extremal == () and rep5.exhaustive
 
 
+def _enumerate_labelling_every_class(params, node_limit):
+    # enumeration with no leaf step: generate every book-free class of
+    # order n as a level, each labelled and accepted, then keep the
+    # non-r-colorable ones of maximum size; a truncated run reports no
+    # optimum
+    n, r, k = params.n, params.r, params.k
+    state = _State(node_limit)
+    exhaustive = True
+    try:
+        level = _levels(n, (r, k), state)
+    except BudgetExceeded:
+        exhaustive, level = False, []
+    feasible = [(rows, e) for rows, e in level
+                if is_r_colorable(Graph(rows), r) is None]
+    best = max((e for _, e in feasible), default=None)
+    extremal = tuple(Graph(rows) for rows in sorted(
+        (rows for rows, e in feasible if e == best), key=pack_rows))
+    return ExtremalReport(params=params, method="enumeration", optimum=best,
+                          extremal=extremal, exhaustive=exhaustive,
+                          nodes=state.nodes)
+
+
+def test_leaf_step_matches_labelling_every_class():
+    # the leaf step labels only the winners of the last order; the report,
+    # nodes= included, and the extremal graph6 lines must not move
+    for n in range(1, 9):
+        for r in (3, 4):
+            for k in (1, 2, 3):
+                for node_limit in (None, 50):
+                    params = CaseParams(n, r, k)
+                    want = _enumerate_labelling_every_class(params, node_limit)
+                    got = enumerate_extremal(params,
+                                             SearchBudget(node_limit=node_limit))
+                    assert got.format_line() == want.format_line(), (
+                        n, r, k, node_limit)
+                    assert [encode_graph6(g) for g in got.extremal] == [
+                        encode_graph6(g) for g in want.extremal]
+
+
+def test_enumerate_labels_only_the_winners(monkeypatch):
+    # at the last order, a class is labelled only after it was found not
+    # 3-colorable, so order-8 labellings never outnumber those colourings
+    calls = {"canon": 0, "uncolorable": 0}
+
+    def counted_canon(rows, root=None):
+        calls["canon"] += len(rows) == 8
+        return canon_rows(rows, root)
+
+    def counted_colorable(g, r):
+        witness = is_r_colorable(g, r)
+        calls["uncolorable"] += g.order == 8 and witness is None
+        return witness
+
+    monkeypatch.setattr(search, "canon_rows", counted_canon)
+    monkeypatch.setattr(search, "is_r_colorable", counted_colorable)
+    rep = enumerate_extremal(CaseParams(8, 3, 1))
+    assert rep.optimum == 20 and rep.exhaustive
+    assert 0 < calls["canon"] <= calls["uncolorable"]
+
+
 def test_enumerate_budget_truncation_is_honest():
     with pytest.raises(BudgetExceeded):
         # internal sanity: the limit machinery actually raises
@@ -152,7 +212,8 @@ def test_bb_agrees_with_enumeration():
 
 def test_bb_pruning_soundness():
     # the neighbourhood bound must not change any report content; enumeration
-    # walks the same tree with no prune, so it is the unpruned reference
+    # walks the same tree with no prune and shares the leaf step _leaves, so
+    # it is the unpruned reference
     for n in (6, 7):
         for k in (1, 2):
             params = CaseParams(n, 3, k)
@@ -479,7 +540,10 @@ def test_report_line_shape():
     assert branch_bound_extremal(CaseParams(9, 3, 2)).format_line() == (
         "n=9 r=3 k=2 q=3 p=0 method=branch_bound optimum=25 classes=2"
         " nodes=1498 exhaustive=true")
-    # the bench row
+    # the bench rows
+    assert enumerate_extremal(CaseParams(8, 3, 1)).format_line() == (
+        "n=8 r=3 k=1 q=2 p=2 method=enumeration optimum=20 classes=1"
+        " nodes=14034 exhaustive=true")
     assert branch_bound_extremal(CaseParams(10, 3, 2)).format_line() == (
         "n=10 r=3 k=2 q=3 p=1 method=branch_bound optimum=31 classes=2"
         " nodes=5330 exhaustive=true")
