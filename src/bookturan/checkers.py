@@ -6,7 +6,9 @@ Containment is ordinary subgraph containment (not induced): the pages of an
 embedded book may be adjacent to each other in the host.  A book is found by
 one clique walk (_book_clique), which also serves the search's incremental
 book test; the witness names the first spine in descending label order and
-its k lowest common neighbours as pages.
+its k lowest common neighbours as pages.  The clique question is the same
+walk with no pages: an r-clique is the spine of a book with k = 0, so
+contains_clique returns the first such spine.
 
 Both decisions use the graph's twin automorphisms (graphs._twin_roots), which
 the pentagon blow-ups joined with Turan graphs have in plenty: the book walk
@@ -67,62 +69,29 @@ def _twin_nodes(rows: tuple[int, ...]) -> list[list[int]]:
     return list(nodes.values())
 
 
-def _twin_quotient(rows: tuple[int, ...]):
-    """Collapse interchangeable vertices for clique search.
-
-    A clique can use at most one vertex of an open-twin class and all of a
-    closed-twin class, so each node of _twin_nodes is one quotient node
-    weighted by its size.  Returns the quotient node member-lists, their
-    weights, and the quotient adjacency masks.
-    """
-    nodes = _twin_nodes(rows)
-    t = len(nodes)
-    adj = [0] * t
-    for i in range(t):
-        for j in range(i + 1, t):
-            if rows[nodes[i][0]] >> nodes[j][0] & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    weights = [len(members) for members in nodes]
-    return nodes, weights, adj
+def _twin_masks(rows: tuple[int, ...]) -> list[int]:
+    """The twin argument of _book_clique: v's class of graphs._twin_roots
+    as a vertex mask, for every vertex v."""
+    roots = _twin_roots(rows)
+    classes: dict[int, int] = {}
+    for v, root in enumerate(roots):
+        classes[root] = classes.get(root, 0) | 1 << v
+    return [classes[root] for root in roots]
 
 
 def contains_clique(g: Graph, r: int) -> frozenset[int] | None:
-    """Some r-clique's vertex set, or None; deterministic branch order."""
+    """Some r-clique's vertex set, or None: the first spine of the book
+    walk with k = 0 pages, or for r = 1 the highest vertex."""
     if r < 1:
         raise ValueError(f"clique size must be >= 1, got {r}")
     n = g.order
     if r > n:
         return None
-    nodes, weights, adj = _twin_quotient(g.rows)
-    t = len(nodes)
-    suffix = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-
-    def dfs(start: int, chosen: list[int], weight: int, cand: int) -> list[int] | None:
-        if weight >= r:
-            return chosen
-        for i in range(start, t):
-            if not cand >> i & 1:
-                continue
-            if weight + suffix[i] < r:
-                return None
-            res = dfs(i + 1, chosen + [i], weight + weights[i], cand & adj[i])
-            if res is not None:
-                return res
-        return None
-
-    found = dfs(0, [], 0, (1 << t) - 1)
-    if found is None:
-        return None
-    out: list[int] = []
-    need = r
-    for i in found:
-        take = min(weights[i], need)
-        out.extend(nodes[i][:take])
-        need -= take
-    return frozenset(out)
+    if r == 1:
+        return frozenset({n - 1})
+    rows = g.rows
+    found = _book_clique(rows, r, 0, (1 << n) - 1, twins=_twin_masks(rows))
+    return None if found is None else frozenset(found[0])
 
 
 def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
@@ -153,10 +122,12 @@ def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
     added, and is a clique of the level whose common neighbourhood is the
     image of C's, hence as large.  So the dropped vertices start or join no
     success, the walk meets the same first success, and the witness is
-    unchanged.  Only contains_generalized_book passes twins.  The search's
-    book tests run on graphs of a dozen vertices, where finding the classes
-    costs about what they save, and its spine test in _max_free_degree
-    starts from a common neighbourhood that twin swaps need not fix.
+    unchanged.  The argument never uses k, so it holds for k = 0 too.
+    contains_generalized_book and contains_clique (k = 0) pass twins.  The
+    search's book tests run on graphs of a dozen vertices, where finding
+    the classes costs about what they save, and its spine test in
+    _max_free_degree starts from a common neighbourhood that twin swaps
+    need not fix.
     """
     stack: list[tuple[int, int, int]] = []  # (w, candidates left, common)
     need = r
@@ -213,12 +184,8 @@ def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
     if k < 1:
         raise ValueError(f"book needs k >= 1 pages, got {k}")
     rows = g.rows
-    roots = _twin_roots(rows)
-    classes: dict[int, int] = {}
-    for v, root in enumerate(roots):
-        classes[root] = classes.get(root, 0) | 1 << v
     found = _book_clique(rows, r, k, (1 << len(rows)) - 1,
-                         twins=[classes[root] for root in roots])
+                         twins=_twin_masks(rows))
     if found is None:
         return None
     clique, common = found

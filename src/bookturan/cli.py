@@ -147,8 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = CaseParams(args.n, args.r, args.k)
     value = ex_nonpartite_value(params)
     case = extremal_case(params, args.mode)
-    print(f"n={params.n} r={params.r} k={params.k} q={params.q} p={params.p}"
-          f" mode={args.mode} value={value} case={case.label}"
+    print(f"{params} mode={args.mode} value={value} case={case.label}"
           f" families={','.join(case.families)}")
     return 0
 
@@ -248,15 +247,13 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit
-        # cannot fail again (the recipe of the Python signal module docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
     except OSError as exc:
-        # a failed write, say to a full disk: the same recipe, with a reason
-        print(f"error: {exc}", file=sys.stderr)
+        # a failed write, say to a full disk, or a closed pipe, which needs
+        # no reason as the reader is gone: point stdout at devnull so the
+        # flush at exit cannot fail again (the recipe of the Python signal
+        # module docs)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -48,6 +48,10 @@ class CaseParams:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
+    def __str__(self) -> str:
+        """The fields that open every report line: n=.. r=.. k=.. q=.. p=.."""
+        return f"n={self.n} r={self.r} k={self.k} q={self.q} p={self.p}"
+
     @property
     def q(self) -> int:
         return self.n // self.r

@@ -34,8 +34,8 @@ def _twin_roots(rows: tuple[int, ...]) -> list[int]:
     v's closed row.
 
     This is the package's one twin relation: canon branches on it, and
-    canonical augmentation in search and the book walk, clique search and
-    colouring in checkers prune on it.
+    canonical augmentation in search and the book walk (which also answers
+    the clique question) and colouring in checkers prune on it.
     """
     first_open: dict[int, int] = {}
     first_closed: dict[int, int] = {}

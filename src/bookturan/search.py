@@ -128,10 +128,8 @@ class ExtremalReport:
 
     def format_line(self) -> str:
         """Deterministic report record: equal reports give equal lines."""
-        p = self.params
         opt = str(self.optimum) if self.optimum is not None else "none"
-        return (f"n={p.n} r={p.r} k={p.k} q={p.q} p={p.p}"
-                f" method={self.method} optimum={opt}"
+        return (f"{self.params} method={self.method} optimum={opt}"
                 f" classes={len(self.extremal)} nodes={self.nodes}"
                 f" exhaustive={str(self.exhaustive).lower()}")
 
@@ -473,9 +471,10 @@ def branch_bound_extremal(params: CaseParams,
     most the Turán number of K_{r+k} among themselves (see _bb_unit for the
     soundness argument); (ii) book containment is checked incrementally on
     each added vertex; (iii) the incumbent starts from the constructed
-    families, giving a certified lower bound.  Ties with the incumbent are never pruned, so the full extremal
-    set survives.  enumerate_extremal walks the same tree unpruned and is
-    the reference these rules are tested against.
+    families, giving a certified lower bound.  Ties with the incumbent are
+    never pruned, so the full extremal set survives.  enumerate_extremal
+    walks the same tree unpruned and is the reference these rules are
+    tested against.
 
     Every class is a work unit: each class of order below the split depth
     is expanded by one order, and each class at the split depth is searched
@@ -607,11 +606,7 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
 class VerifyRecord:
     """One row of the theorem-verification table."""
 
-    n: int
-    r: int
-    k: int
-    q: int
-    p: int
+    params: CaseParams
     formula: int
     family_opt: int
     oracle: int | None  # enumeration optimum; None: no oracle ran (n > 8)
@@ -623,8 +618,8 @@ class VerifyRecord:
         and its value is exhaustive."""
         oracle = ("oracle=- exhaustive=-" if self.oracle is None
                   else f"oracle={self.oracle} exhaustive=true")
-        return (f"n={self.n} r={self.r} k={self.k} q={self.q} p={self.p}"
-                f" formula={self.formula} family_opt={self.family_opt}"
+        return (f"{self.params} formula={self.formula}"
+                f" family_opt={self.family_opt}"
                 f" {oracle} verdict={self.verdict}")
 
 
@@ -680,7 +675,6 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         verdict = "AGREE" if ok else "DISAGREE"
 
         records.append(VerifyRecord(
-            n=n, r=r, k=k, q=params.q, p=params.p, formula=formula,
-            family_opt=fam_opt, oracle=rep.optimum if rep else None,
-            verdict=verdict))
+            params=params, formula=formula, family_opt=fam_opt,
+            oracle=rep.optimum if rep else None, verdict=verdict))
     return records

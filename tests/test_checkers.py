@@ -70,6 +70,21 @@ def test_contains_clique_brute_force():
                 assert all(g.has_edge(u, v) for u, v in combinations(sorted(found), 2))
 
 
+def test_contains_clique_spine_longer_than_recursion_limit():
+    # K_1200 on 0..1199, and x_j (vertex 1199 + j) joined to 0..j-1 for
+    # j = 1..1200: nearly twin-free, so twin pruning cannot shorten the
+    # walk's 1,200 levels
+    m = 1200
+    clique = (1 << m) - 1
+    rows = [clique ^ 1 << i | ((1 << m - i) - 1) << m + i for i in range(m)]
+    rows += [(1 << j) - 1 for j in range(1, m + 1)]
+    g = Graph(tuple(rows))
+    found = contains_clique(g, m)
+    assert found is not None and len(found) == m
+    mask = sum(1 << v for v in found)
+    assert all(rows[v] & mask == mask ^ 1 << v for v in found)
+
+
 def test_contains_book_examples():
     w = contains_generalized_book(K5, 3, 2)
     assert w is not None
@@ -327,6 +342,11 @@ def assert_twin_rules_change_nothing(g, r, k):
     w = contains_generalized_book(g, r, k)
     assert (None if w is None else (w.clique, w.pages)) \
         == _book_without_twin_rule(g, r, k), (g.rows, r, k)
+    # contains_clique is the walk at k = 0, whose twin rule keeps every spine
+    for s in range(2, r + 2):
+        plain = _book_without_twin_rule(g, s, 0)
+        spine = None if plain is None else plain[0]
+        assert contains_clique(g, s) == spine, (g.rows, s)
     # is_r_colorable as it was with no open-twin rule: its search on g itself
     c = is_r_colorable(g, r)
     assert (None if c is None else c.classes) == _coloring(g, r), (g.rows, r)
