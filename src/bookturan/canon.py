@@ -10,6 +10,15 @@ is the first leaf, in depth-first order, whose relabelled adjacency rows
 compare smallest, so equal canonical forms certify isomorphism and distinct
 forms refute it.
 
+Automorphisms found at the leaves prune as well (McKay, Congr. Numer. 30,
+1981).  A later leaf whose relabelled rows equal the first leaf's exhibits
+an automorphism that maps the first leaf's path onto its own, node by
+node; so the rest of the subtree it lies in, below the deepest node it
+shares with the first path, only repeats leaves already seen, and the
+search jumps back to that node.  No leaf it skips is the first to reach
+the smallest rows, so the canonical labelling does not change (see
+_label).
+
 The search starts from the refined root partition.  canon computes it
 once per graph, so canonical augmentation can reject an extension on that
 partition alone and hand the others to canon_rows without refining them
@@ -112,6 +121,26 @@ def _label(rows: tuple[int, ...],
     visited, their order and the comparison between them are those of a
     per-vertex relabelling.  Twin labels are computed at the first branch,
     so a graph whose root partition is discrete never needs them.
+
+    A later leaf whose rows equal the first leaf's ends the subtree it lies
+    in (McKay's first-path jump-back).  Refinement, the choice of target
+    cell and individualization are equivariant under automorphisms acting
+    on ordered partitions, and the vertex individualized at a node takes the
+    leaf position where its target cell starts.  So gamma, which maps the
+    vertex at position p of the first leaf to the vertex at position p of
+    this leaf, is an automorphism (the rows are equal) that maps the first
+    path onto this leaf's path node by node.  Let nu be the deepest node on
+    both paths: gamma fixes nu and maps nu's child on the first path onto
+    nu's child c on this path, so the leaves below c are the images of
+    those below the first path's child and have their rows.  The twin
+    shortcut and the one branch per twin root keep each subtree's set of
+    leaf rows, since the branches they leave out differ from kept ones by
+    twin swaps, which are automorphisms fixing the node.  Hence every leaf
+    left below c repeats rows already seen.  A dropped leaf is never the
+    first to reach the smallest rows, so best_perm, the first such leaf's
+    permutation, does not change.  Below mark the stack holds the pending
+    siblings on the first path; mark falls to the stack height after every
+    pop that goes below it, so stack[mark:] is the rest of c's subtree.
     """
     n = len(rows)
     twin: list[int] | None = None
@@ -120,6 +149,8 @@ def _label(rows: tuple[int, ...],
     # each entry is (cells, target, v): individualize v in cells[target]
     # and refine
     stack: list[tuple[Cells, int, int]] = []
+    first_rows: list[int] | None = None
+    mark = 0
     while True:
         target = -1
         size = n + 1
@@ -159,12 +190,20 @@ def _label(rows: tuple[int, ...],
                         m ^= lsb
                     relabelled[row] = acc
                 new_rows[perm[u]] = acc
-            if best_rows is None or new_rows < best_rows:
+            if first_rows is None:
+                first_rows = best_rows = new_rows
+                best_perm = perm
+                mark = len(stack)
+            elif new_rows == first_rows:
+                del stack[mark:]
+            elif new_rows < best_rows:
                 best_rows = new_rows
                 best_perm = perm
         if not stack:
             break
         cells, target, v = stack.pop()
+        if len(stack) < mark:
+            mark = len(stack)
         rest = [u for u in cells[target] if u != v]
         cells = _refine(rows, cells[:target] + [[v], rest] + cells[target + 1:],
                         deque([1 << v, _mask_of(rest)]))

@@ -528,25 +528,37 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Maximum edge count over pentagon blow-ups with positive parts summing
     to m, together with every maximizing profile up to dihedral symmetry.
 
-    Exhaustive: with (n1, n2, n3) = (a, b, c) fixed and w = n4 + n5, the
-    edge count is the concave integer parabola const + lin * t - t * t in
-    t = n4 on 1 <= t <= w - 1, so every maximizing t is the clipped vertex
-    clip(lin // 2, 1, w - 1) or the next integer.
+    Exhaustive up to rotation.  Rotating a profile keeps its edge count
+    and its dihedral class, and every profile has a rotation whose first
+    part a is a largest part, so only profiles with every part at most a
+    are swept.  With (n1, n2, n3) = (a, b, c) fixed, b, c <= a, and
+    w = n4 + n5, the edge count is the concave integer parabola
+    const + lin * t - t * t in t = n4, and n4, n5 <= a confine t to
+    [lo, hi] = [max(1, w - a), min(w - 1, a)], skipped when empty.  On an
+    interval, a concave parabola's integer maximizers are the clipped vertex
+    clip(lin // 2, lo, hi) and, if it is at most hi, the next integer.  So
+    the sweep meets a largest-part-first rotation of every maximizer, and
+    since those rotations include a global maximizer, only maximizers reach
+    the best value.
     """
     if m < 5:
         raise ValueError(f"blow-up needs at least 5 vertices, got {m}")
     best = -1
     winners: list[tuple[int, ...]] = []
     for a in range(1, m - 3):
-        for b in range(1, m - a - 2):
-            for c in range(1, m - a - b - 1):
+        for b in range(1, min(a, m - a - 3) + 1):
+            for c in range(1, min(a, m - a - b - 2) + 1):
                 w = m - a - b - c
+                lo = max(1, w - a)
+                hi = min(w - 1, a)
+                if lo > hi:
+                    continue
                 lin = c - a + w
                 const = a * b + b * c + a * w
-                t0 = min(max(lin // 2, 1), w - 1)
+                t0 = min(max(lin // 2, lo), hi)
                 for t in (t0, t0 + 1):
                     val = const + lin * t - t * t
-                    if t >= w or val < best:
+                    if t > hi or val < best:
                         continue
                     if val > best:
                         best = val

@@ -293,13 +293,31 @@ SYMMETRIC = ([cycle(n) for n in range(3, 41)]
              + [hypercube(d) for d in (2, 3, 4)]
              + [kneser(5, 2), kneser(6, 2)])
 
-# pairs of one order and one degree sequence, isomorphic or not; 2C_m
-# stops at m = 10 because its automorphism group makes canon_rows slow (0.4 s
-# at m = 20, as the search prunes no automorphisms beyond twins)
-LOOKALIKES = ([(cycle(2 * m), two_cycles(m)) for m in range(3, 11)]
+# pairs of one order and one degree sequence, isomorphic or not
+LOOKALIKES = ([(cycle(2 * m), two_cycles(m)) for m in range(3, 21)]
               + [(hypercube(3), crown(4)), (hypercube(3), circulant(8, [1, 4])),
                  (hypercube(4), torus(4)), (kneser(5, 2), prism(5)),
                  (kneser(6, 2), circulant(15, [1, 2, 4]))])
+
+
+def test_symmetric_canonical_forms_are_pinned():
+    # graphs with large automorphism groups, as given and relabelled: here
+    # later leaves often repeat the first one, and the search skips the
+    # rest of their subtrees
+    graphs = (SYMMETRIC + [g for pair in LOOKALIKES for g in pair]
+              + [prism(m) for m in range(3, 13)]
+              + [crown(m) for m in range(3, 7)]
+              + [torus(m) for m in range(3, 7)])
+    rnd = random.Random(21)
+    corpus = [g.rows for g in graphs]
+    for g in graphs:
+        perm = list(range(g.order))
+        rnd.shuffle(perm)
+        corpus.append(relabel(g, perm).rows)
+    assert len(corpus) == 214
+    assert canon_digest(corpus) == (
+        "449e3713d4a230fd60a799b10752eaafb4b15e1af96cbf11e22f5b92bb2dcbff")
+
 
 PROFILES = st.tuples(st.lists(st.integers(1, 3), min_size=5, max_size=5),
                      st.lists(st.integers(1, 3), max_size=2))

@@ -9,9 +9,10 @@ from bookturan.canon import (canon, canon_rows, canonical_form,
                             dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free, is_r_colorable)
-from bookturan.constructions import (c5_blowup, extremal_family_graphs,
-                                     family_g3, generalized_book,
-                                     turan_graph, turan_part_sizes)
+from bookturan.constructions import (c5_blowup, dihedral_profile,
+                                     extremal_family_graphs, family_g3,
+                                     generalized_book, turan_graph,
+                                     turan_part_sizes)
 from bookturan.formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
@@ -381,6 +382,37 @@ def test_family_optimizer_blowup_sweep_matches_brute_force():
         opt, profiles = _blowup_optimum(m)
         assert opt == best, m
         assert set(profiles) == winners, m
+
+
+def unrestricted_blowup_optimum(m):
+    # the sweep over every profile (a, b, c, t, w - t), not only those whose
+    # first part is largest: t ranges over 1..w - 1, and the integer
+    # parabola in t peaks at clip(lin // 2, 1, w - 1) or the next integer
+    best = -1
+    winners = []
+    for a in range(1, m - 3):
+        for b in range(1, m - a - 2):
+            for c in range(1, m - a - b - 1):
+                w = m - a - b - c
+                lin = c - a + w
+                const = a * b + b * c + a * w
+                t0 = min(max(lin // 2, 1), w - 1)
+                for t in (t0, t0 + 1):
+                    val = const + lin * t - t * t
+                    if t >= w or val < best:
+                        continue
+                    if val > best:
+                        best = val
+                        winners = []
+                    winners.append((a, b, c, t, w - t))
+    return best, tuple(sorted({dihedral_profile(prof) for prof in winners}))
+
+
+def test_blowup_sweep_over_largest_part_rotations_matches_full_sweep():
+    # past the brute force's m = 25, up to beyond the m = 44 that verify
+    # reaches at n = 45
+    for m in range(5, 81):
+        assert _blowup_optimum(m) == unrestricted_blowup_optimum(m), m
 
 
 def test_family_optimizer_matches_joins_of_best_profiles():
