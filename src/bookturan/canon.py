@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, _twin_roots
+from .graphs import Graph, _twin_classes
 
 CanonicalForm = bytes
 Cells = list[list[int]]
@@ -105,21 +105,21 @@ def _label(rows: tuple[int, ...],
            cells: Cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best leaf of the search below the refined partition cells.
 
-    A target cell C whose vertices all carry one twin label is split into
+    A target cell C whose vertices all lie in one twin class is split into
     label-ordered singletons at once, which is exactly the chain the
     branching search would walk.  C lies in one open-twin or one
     closed-twin class, so a vertex outside C is adjacent to all of C or to
     none, and the vertices of C are pairwise all adjacent or all not.
     Individualizing the first vertex u of C therefore changes no count seen
     by any cell: refinement splits nothing, and C - u is then the unique
-    smallest non-singleton cell, again with one twin label.
+    smallest non-singleton cell, again inside one twin class.
 
     A leaf costs one relabelling per distinct row, not one per vertex.  The
     relabelled row of u depends only on rows[u] and the leaf's permutation,
     so vertices with equal rows (open twins) get equal relabelled rows, and
     reusing the first one computed changes no leaf's rows: the leaves
     visited, their order and the comparison between them are those of a
-    per-vertex relabelling.  Twin labels are computed at the first branch,
+    per-vertex relabelling.  Twin classes are computed at the first branch,
     so a graph whose root partition is discrete never needs them.
 
     A later leaf whose rows equal the first leaf's ends the subtree it lies
@@ -133,7 +133,7 @@ def _label(rows: tuple[int, ...],
     both paths: gamma fixes nu and maps nu's child on the first path onto
     nu's child c on this path, so the leaves below c are the images of
     those below the first path's child and have their rows.  The twin
-    shortcut and the one branch per twin root keep each subtree's set of
+    shortcut and the one branch per twin class keep each subtree's set of
     leaf rows, since the branches they leave out differ from kept ones by
     twin swaps, which are automorphisms fixing the node.  Hence every leaf
     left below c repeats rows already seen.  A dropped leaf is never the
@@ -160,12 +160,12 @@ def _label(rows: tuple[int, ...],
                 size = len(cell)
         if target >= 0:
             if twin is None:
-                twin = _twin_roots(rows)
-            seen_roots: set[int] = set()
+                twin = _twin_classes(rows)
+            seen = 0
             branches = []
             for u in cells[target]:
-                if twin[u] not in seen_roots:
-                    seen_roots.add(twin[u])
+                if not seen >> u & 1:
+                    seen |= twin[u]
                     branches.append(u)
             if len(branches) == 1:
                 cells = (cells[:target] + [[u] for u in cells[target]]

@@ -10,20 +10,20 @@ its k lowest common neighbours as pages.  The clique question is the same
 walk with no pages: an r-clique is the spine of a book with k = 0, so
 contains_clique returns the first such spine.
 
-Both decisions use the graph's twin automorphisms (graphs._twin_roots), which
-the pentagon blow-ups joined with Turan graphs have in plenty: the book walk
-skips the twins of a spine vertex whose walk failed, and colorability is
-refuted on one vertex per open-twin class.  Each rule only cuts work that
-cannot succeed, so every answer and every witness is that of the plain
-search; the soundness arguments are in the docstrings of _book_clique and
-is_r_colorable.
+Both decisions use the graph's twin automorphisms, given as vertex masks by
+graphs._twin_classes, which the pentagon blow-ups joined with Turan graphs
+have in plenty: the book walk skips the twins of a spine vertex whose walk
+failed, and colorability is refuted on one vertex per open-twin class.
+Each rule only cuts work that cannot succeed, so every answer and every
+witness is that of the plain search; the soundness arguments are in the
+docstrings of _book_clique and is_r_colorable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _twin_roots, remove_edge
+from .graphs import Graph, _bits, _twin_classes, remove_edge
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,6 @@ def greedy_clique(g: Graph) -> list[int]:
     return sorted(clique)
 
 
-def _twin_nodes(rows: tuple[int, ...]) -> list[list[int]]:
-    """The classes of graphs._twin_roots in order of their first vertex,
-    each in label order, an open-twin class (pairwise non-adjacent, so any
-    one of its vertices stands for the others) cut to its first vertex."""
-    nodes: dict[int, list[int]] = {}
-    for v, root in enumerate(_twin_roots(rows)):
-        if root == v or rows[v] >> root & 1:
-            nodes.setdefault(root, []).append(v)
-    return list(nodes.values())
-
-
-def _twin_masks(rows: tuple[int, ...]) -> list[int]:
-    """The twin argument of _book_clique: v's class of graphs._twin_roots
-    as a vertex mask, for every vertex v."""
-    roots = _twin_roots(rows)
-    classes: dict[int, int] = {}
-    for v, root in enumerate(roots):
-        classes[root] = classes.get(root, 0) | 1 << v
-    return [classes[root] for root in roots]
-
-
 def contains_clique(g: Graph, r: int) -> frozenset[int] | None:
     """Some r-clique's vertex set, or None: the first spine of the book
     walk with k = 0 pages, or for r = 1 the highest vertex."""
@@ -90,7 +69,7 @@ def contains_clique(g: Graph, r: int) -> frozenset[int] | None:
     if r == 1:
         return frozenset({n - 1})
     rows = g.rows
-    found = _book_clique(rows, r, 0, (1 << n) - 1, twins=_twin_masks(rows))
+    found = _book_clique(rows, r, 0, (1 << n) - 1, twins=_twin_classes(rows))
     return None if found is None else frozenset(found[0])
 
 
@@ -109,10 +88,10 @@ def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
     stack, so a spine longer than the interpreter's recursion limit needs
     no call stack; the last two are one pair of nested loops.
 
-    Twin rule: with twins (twins[v] the mask of v's class of
-    graphs._twin_roots), once the walk under spine vertex w has failed,
-    w's twins leave the candidates of w's level, not just w.  Sound when
-    the walk starts from common = -1.  Let w' < w be a twin of w among
+    Twin rule: with twins (twins[v] the mask of v's class, as
+    graphs._twin_classes gives it), once the walk under spine vertex w has
+    failed, w's twins leave the candidates of w's level, not just w.  Sound
+    when the walk starts from common = -1.  Let w' < w be a twin of w among
     those candidates; the transposition s = (w w') is an automorphism.  It
     fixes the vertices chosen above the level, which lie above w, and so
     their common neighbourhood too.  Every candidate above w has already
@@ -185,7 +164,7 @@ def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
         raise ValueError(f"book needs k >= 1 pages, got {k}")
     rows = g.rows
     found = _book_clique(rows, r, k, (1 << len(rows)) - 1,
-                         twins=_twin_masks(rows))
+                         twins=_twin_classes(rows))
     if found is None:
         return None
     clique, common = found
@@ -240,17 +219,20 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
 
     Open-twin rule: when g has open twins (vertices with equal
     neighbourhoods, which are pairwise non-adjacent), the induced subgraph
-    on the vertices of _twin_nodes, one per open-twin class, is searched
-    first, and a "no" there is the answer.  Sound: open twins u and v have
-    equal neighbourhoods, so a coloring of g - v extends to g by giving v
-    the color of u, and g is r-colorable iff that subgraph is.  A "yes"
-    there falls through to the search on g itself, so the witness is
-    unchanged.
+    on the first vertex of each open-twin class and every other vertex is
+    searched first, and a "no" there is the answer.  Sound: open twins u
+    and v have equal neighbourhoods, so a coloring of g - v extends to g by
+    giving v the color of u, and g is r-colorable iff that subgraph is.  A
+    "yes" there falls through to the search on g itself, so the witness is
+    unchanged.  A color count above the order is taken as the order: no
+    search uses more colors than vertices.
     """
     if r < 1:
         raise ValueError(f"color count must be >= 1, got {r}")
     rows = g.rows
-    reps = [v for node in _twin_nodes(rows) for v in node]
+    # drop each vertex with a non-adjacent twin below it
+    reps = [v for v, c in enumerate(_twin_classes(rows))
+            if not c & (1 << v) - 1 or rows[v] & c]
     if len(reps) < len(rows):
         index = {v: i for i, v in enumerate(reps)}
         sub = tuple(sum(1 << index[u] for u in _bits(rows[v]) if u in index)
@@ -266,6 +248,7 @@ def _coloring(g: Graph, r: int) -> tuple[int, ...] | None:
     n = g.order
     if n == 0:
         return ()
+    r = min(r, n)
     rows = g.rows
     clique = greedy_clique(g)
     if len(clique) > r:

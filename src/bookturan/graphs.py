@@ -20,29 +20,31 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
-def _twin_roots(rows: tuple[int, ...]) -> list[int]:
-    """Class labels of the relation "swapping u and v is an automorphism".
+def _twin_classes(rows: tuple[int, ...]) -> list[int]:
+    """For each vertex v, the vertex mask of v's class of the relation
+    "swapping u and v is an automorphism".
 
     Two vertices are twins when their open neighbourhoods coincide, or their
     closed neighbourhoods coincide; chains of such transpositions compose to
     automorphisms, so a search that commutes with automorphisms needs one
     representative per class.  No vertex u has both an open twin v and a
     closed twin w: w is adjacent to u, so w lies in N(u) = N(v) and v in
-    N(w), hence in N[u]; but open twins are non-adjacent.  So each class is
-    one open-twin or one closed-twin class, labelled by its first vertex:
-    the smaller of the first vertex with v's open row and the first with
-    v's closed row.
+    N(w), hence in N[u]; but open twins are non-adjacent.  So of v's
+    open-twin class and closed-twin class one is {v} alone, their union is
+    v's class, and v is adjacent to its class-mates iff the class is closed.
 
-    This is the package's one twin relation: canon branches on it, and
-    canonical augmentation in search and the book walk (which also answers
-    the clique question) and colouring in checkers prune on it.
+    This is the package's one twin relation: canon branches on one vertex
+    per class, canonical augmentation in search takes label-order prefixes
+    of the classes, the book walk (which also answers the clique question)
+    skips whole classes, and colouring keeps one vertex per open class.
     """
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
+    open_cls: dict[int, int] = {}
+    closed_cls: dict[int, int] = {}
     for v, row in enumerate(rows):
-        first_open.setdefault(row, v)
-        first_closed.setdefault(row | 1 << v, v)
-    return [min(first_open[row], first_closed[row | 1 << v])
+        bit = 1 << v
+        open_cls[row] = open_cls.get(row, 0) | bit
+        closed_cls[row | bit] = closed_cls.get(row | bit, 0) | bit
+    return [open_cls[row] | closed_cls[row | 1 << v]
             for v, row in enumerate(rows)]
 
 

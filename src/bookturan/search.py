@@ -67,7 +67,7 @@ from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (_c5_join, _family_specs, _Spec,
                             dihedral_profile, extremal_family_graphs)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
-from .graphs import Graph, _twin_roots
+from .graphs import Graph, _twin_classes
 
 
 @dataclass(frozen=True)
@@ -175,30 +175,31 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     neighbours is the spine of a book wherever it lies.
 
     Twin rule: a neighbourhood S is tried only if it takes a label-order
-    prefix of each twin class of prows, the open-twin and closed-twin
-    classes of graphs._twin_roots.  Sound: permuting the vertices inside a
-    twin class is an automorphism sigma of the parent; extended to fix the
-    new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S) fare
-    alike under the degree rule (twins have equal degree), the book rule,
-    the partition precheck of _children (refinement is
-    isomorphism-invariant) and, in _leaves, the edge bound and
-    colorability, and give one canonical form.  The prefix form comes first
-    among the sets of its orbit in the order tried: all have the same t,
-    and its i-th smallest vertex is at most that of any other.  So the
-    first passing extension of each class is a prefix form, _children
-    returns the same list in the same order, and _leaves yields the same
-    classes in the same order (its incumbent only rises, so where S
-    passes, its prefix form passed earlier).  Only the node count changes.
-    Twins have equal degree, so the forced neighbours and the candidates
-    each hold whole twin classes, and the prefix test looks at the chosen
-    candidates only.  While the candidates are no more than the neighbours
-    still to choose, the only choice takes every class whole: the classes
-    are found at the first t with a real choice, and a parent without twins
-    takes every combination unchecked.
+    prefix of each twin class of prows (graphs._twin_classes), that is, if S
+    holds all the twins below each of its vertices; along a class this is
+    the same as holding the twin just below each of them.  Sound: permuting
+    the vertices inside a twin class is an automorphism sigma of the parent;
+    extended to fix the new vertex, it maps P + S onto P + sigma(S).  So S
+    and sigma(S) fare alike under the degree rule (twins have equal degree),
+    the book rule, the partition precheck of _children (refinement is
+    isomorphism-invariant) and, in _leaves, the edge bound and colorability,
+    and give one canonical form.  The prefix form comes first among the sets
+    of its orbit in the order tried: all have the same t, and its i-th
+    smallest vertex is at most that of any other.  So the first passing
+    extension of each class is a prefix form, _children returns the same
+    list in the same order, and _leaves yields the same classes in the same
+    order (its incumbent only rises, so where S passes, its prefix form
+    passed earlier).  Only the node count changes.  Twins have equal degree,
+    so the forced neighbours and the candidates each hold whole twin
+    classes, and the prefix test looks at the chosen candidates only.  While
+    the candidates are no more than the neighbours still to choose, the only
+    choice takes every class whole: the classes are found at the first t
+    with a real choice, and a parent without twins takes every combination
+    unchecked.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
-    below: list[int] | None = None  # the bit of the twin of u just below u
+    below: list[int] | None = None  # the mask of u's twins below u
     twins = False
     for t in range(min(degs) + 1, max(minpop, 0) - 1, -1):
         forced = tuple(u for u in range(n) if degs[u] == t - 1)
@@ -207,12 +208,8 @@ def _extensions(prows: tuple[int, ...], minpop: int,
             continue
         free = [u for u in range(n) if degs[u] >= t]
         if below is None and len(free) > pick:
-            below = [0] * n
-            top: dict[int, int] = {}
-            for u, root in enumerate(_twin_roots(prows)):
-                if root in top:
-                    below[u] = 1 << top[root]
-                top[root] = u
+            below = [c & (1 << u) - 1
+                     for u, c in enumerate(_twin_classes(prows))]
             twins = any(below)
         for comb in combinations(free, pick):
             if twins:

@@ -6,12 +6,13 @@ from itertools import combinations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from bookturan.canon import (_twin_roots, canon, canon_rows, canonical_form,
+from bookturan.canon import (canon, canon_rows, canonical_form,
                              dedup_by_isomorphism, is_isomorphic)
 from bookturan.constructions import (c5_blowup, complete_multipartite,
                                      extremal_family_graphs)
 from bookturan.formulas import CaseParams
-from bookturan.graphs import Graph, empty_graph, from_edges, join, relabel
+from bookturan.graphs import (Graph, _twin_classes, empty_graph, from_edges,
+                              join, relabel)
 from bookturan.search import generate_graphs
 
 from test_graphs import random_graph
@@ -165,17 +166,23 @@ def relabelled_join(rnd):
     return relabel(g, perm)
 
 
-def test_twin_roots_match_pairwise_closure():
+def test_twin_classes_match_pairwise_closure():
     graphs = [g for n in range(8) for g in generate_graphs(n)]
     rnd = random.Random(16)
     for _ in range(300):
         graphs.append(random_graph(rnd, rnd.randrange(1, 16), rnd.random()))
         graphs.append(relabelled_join(rnd))
     for g in graphs:
-        roots = _twin_roots(g.rows)
-        classes = {frozenset(v for v in range(g.order) if roots[v] == root)
-                   for root in roots}
+        masks = _twin_classes(g.rows)
+        classes = {frozenset(v for v in range(g.order) if c >> v & 1)
+                   for c in masks}
         assert classes == twin_classes_by_closure(g.rows), g.rows
+        for v, c in enumerate(masks):
+            assert c >> v & 1, g.rows
+            # v sees its class-mates iff the class is closed and not {v}
+            closed = len({g.rows[u] | 1 << u for u in range(g.order)
+                          if c >> u & 1}) == 1
+            assert bool(g.rows[v] & c) == (closed and c != 1 << v), g.rows
 
 
 def test_first_canonical_vertex_lies_in_first_root_cell():

@@ -208,6 +208,17 @@ def test_coloring_long_cycles_need_no_recursion():
     check_coloring(odd, w3, 3)
 
 
+def test_color_count_above_the_order_is_the_order():
+    # no search uses more colors than vertices, so a huge count costs no
+    # memory and finds the witness of count n
+    rnd = random.Random(23)
+    graphs = [C5, W7, K5, empty_graph(3), turan_graph(12, 3),
+              *extremal_family_graphs(CaseParams(11, 3, 2))]
+    graphs += [random_graph(rnd, rnd.randrange(1, 10), 0.5) for _ in range(20)]
+    for g in graphs:
+        assert is_r_colorable(g, 10**9) == is_r_colorable(g, g.order), g.rows
+
+
 def test_chromatic_examples():
     assert chromatic_number(K5) == 5
     assert chromatic_number(turan_graph(9, 3)) == 3

@@ -189,6 +189,20 @@ def test_check_spine_above_recursion_limit(tmp_path, capsys):
     assert fields["book_pages"] == "0"
 
 
+def test_check_color_count_far_above_the_order(tmp_path, capsys):
+    # colouring allocates for at most n colors, whatever --r says
+    code, g6, _ = run_cli(capsys, "construct", "--family", "g3", "--n", "11",
+                          "--r", "3")
+    assert code == 0
+    path = tmp_path / "g.g6"
+    path.write_text(g6)
+    code, out, err = run_cli(capsys, "check", "--input", str(path),
+                             "--r", "1000000000", "--k", "1", "--witness")
+    assert code == 0 and err == ""
+    assert out == ("line=1 n=11 e=38 r_colorable=true contains_book=false"
+                   " candidate=false coloring=3,0,0,1,1,0,1,2,2,2,2\n")
+
+
 def _twin_rich_check_corpus(r, k):
     # the theorem14 members (book-free and not r-colorable), each with one
     # added edge (so it holds a book), and Turan graphs (r-colorable), all
