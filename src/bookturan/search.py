@@ -33,16 +33,17 @@ a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
 walk that decides book containment in checkers.  The acceptance test only
 serves children that are expanded further, so the last order is not
-generated as a level: both engines stream the extensions of each parent
-through one leaf step, _leaves, which canonically labels only the
-non-r-colorable ones that reach the running incumbent, and deduplicate
-those by canonical form.  Branch-and-bound follows the same chain and
-bounds what a prefix P can still gain: every later vertex v keeps G[P + v]
-book-free, so it has at most M(P) neighbours in P, where M(P) is the
-largest degree of a book-free one-vertex extension of P.  M(P) is bounded
-from above by packing vertex-disjoint books of P + v, v joined to all of
-P: each one costs v at least one neighbour (see _max_free_degree and
-_bb_unit).
+generated as a level: both engines walk the tree depth first in work units
+(_unit), whose last order streams the extensions of each parent,
+canonically labels only the non-r-colorable ones that reach the running
+incumbent, and deduplicates those by canonical form.  Enumeration is one
+unpruned unit grown from K1.  Branch-and-bound splits the tree into units
+and bounds what a prefix P can still gain: every later vertex v keeps
+G[P + v] book-free, so it has at most M(P) neighbours in P, where M(P) is
+the largest degree of a book-free one-vertex extension of P.  M(P) is
+bounded from above by packing vertex-disjoint books of P + v, v joined to
+all of P: each one costs v at least one neighbour (see _max_free_degree
+and _unit).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -164,7 +165,7 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     has degree at least t - 1 in P, a non-neighbour at least t.  Children
     of one parent are deduplicated and accepted on their class alone, so
     skipping the other neighbourhoods of the same class loses nothing.  The
-    leaf step _leaves and the minpop edge bound follow the same
+    leaf step and the minpop edge bound of _unit follow the same
     canonical-deletion chain, so they keep every class they kept.
 
     Book rule: a child is kept iff no r-clique inside the closed
@@ -182,20 +183,20 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     extended to fix the new vertex, it maps P + S onto P + sigma(S).  So S
     and sigma(S) fare alike under the degree rule (twins have equal degree),
     the book rule, the partition precheck of _children (refinement is
-    isomorphism-invariant) and, in _leaves, the edge bound and colorability,
-    and give one canonical form.  The prefix form comes first among the sets
-    of its orbit in the order tried: all have the same t, and its i-th
-    smallest vertex is at most that of any other.  So the first passing
-    extension of each class is a prefix form, _children returns the same
-    list in the same order, and _leaves yields the same classes in the same
-    order (its incumbent only rises, so where S passes, its prefix form
-    passed earlier).  Only the node count changes.  Twins have equal degree,
-    so the forced neighbours and the candidates each hold whole twin
-    classes, and the prefix test looks at the chosen candidates only.  While
-    the candidates are no more than the neighbours still to choose, the only
-    choice takes every class whole: the classes are found at the first t
-    with a real choice, and a parent without twins takes every combination
-    unchecked.
+    isomorphism-invariant) and, at the leaf step of _unit, the edge bound
+    and colorability, and give one canonical form.  The prefix form comes
+    first among the sets of its orbit in the order tried: all have the same
+    t, and its i-th smallest vertex is at most that of any other.  So the
+    first passing extension of each class is a prefix form, _children
+    returns the same list in the same order, and the leaf step keeps the
+    same classes in the same order (its incumbent only rises, so where S
+    passes, its prefix form passed earlier).  Only the node count changes.
+    Twins have equal degree, so the forced neighbours and the candidates
+    each hold whole twin classes, and the prefix test looks at the chosen
+    candidates only.  While the candidates are no more than the neighbours
+    still to choose, the only choice takes every class whole: the classes
+    are found at the first t with a real choice, and a parent without twins
+    takes every combination unchecked.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
@@ -267,28 +268,6 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     return out
 
 
-def _leaves(prows: tuple[int, ...], e: int, inc: int | None, minpop: int,
-            r: int, k: int,
-            state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The last order of both engines: (canonical rows, edges) of each
-    non-r-colorable B_{r,k}-free extension of prows (e edges) whose edge
-    count reaches the running incumbent, which starts at inc and rises to
-    each edge count yielded.  Only these winners are canonically labelled;
-    no acceptance test runs, so a class may come more than once, from one
-    parent or several, and the callers deduplicate by canonical form.  Lazy,
-    so a truncated caller keeps every leaf yielded before its budget ran
-    out."""
-    for crows, t in _extensions(prows, minpop, (r, k), state):
-        ce = e + t
-        if inc is not None and ce < inc:
-            continue
-        if is_r_colorable(Graph(crows), r) is not None:
-            continue
-        if inc is None or ce > inc:
-            inc = ce
-        yield canon_rows(crows)[0], ce
-
-
 def _levels(order: int, book: tuple[int, int] | None,
             state: _State) -> list[tuple[tuple[int, ...], int]]:
     """(canonical rows, edge count) of every book-free class of the given
@@ -310,6 +289,19 @@ def generate_graphs(n: int, book: tuple[int, int] | None = None) -> list[Graph]:
     return [Graph(rows) for rows, _ in _levels(n, book, _State(None))]
 
 
+def _report(params: CaseParams, method: str,
+            candidates: dict[tuple[int, ...], int], exhaustive: bool,
+            nodes: int) -> ExtremalReport:
+    """The report of an exhaustive engine: the largest edge count among the
+    candidates (canonical rows with their edge counts) and its classes,
+    sorted by canonical form."""
+    best = max(candidates.values(), default=None)
+    extremal = tuple(Graph(rows) for rows in sorted(
+        (rows for rows, e in candidates.items() if e == best), key=pack_rows))
+    return ExtremalReport(params=params, method=method, optimum=best,
+                          extremal=extremal, exhaustive=exhaustive, nodes=nodes)
+
+
 def enumerate_extremal(params: CaseParams,
                        budget: SearchBudget | None = None) -> ExtremalReport:
     """Ground-truth oracle: enumerate every book-free class of order n and
@@ -317,40 +309,31 @@ def enumerate_extremal(params: CaseParams,
     so the optimum needs no admissibility argument.  Runs single-threaded;
     budget.workers is ignored.  A truncated run reports no optimum.
 
-    Order n is not generated as a level: the classes of order n - 1 are,
-    and _leaves runs over each of them with minpop = 0, labelling only the
-    extensions that win.  Sound: let G be any book-free class of order n
-    and w its vertex at canonical position 0.  G - w is isomorphic to a
-    class P of order n - 1, which is in _levels(n - 1).  Among P's
+    The whole search is one work unit: _unit grown from K1 to order n with
+    prune=False, so minpop = 0 at every order.  Sound: let G be any
+    book-free class of order n and w its vertex at canonical position 0.
+    G - w is isomorphic to a class P of order n - 1, which the walk reaches,
+    since below order n it accepts what _levels does.  Among P's
     extensions, the one that rebuilds G passes the degree rule, and the
     twin rule tries a prefix form in its orbit, which gives an isomorphic
-    child (see _extensions).  So every class appears at least once,
-    possibly more than once.  Duplicates cannot change the optimum, and the
-    extremal set is deduplicated by its canonical form.  _extensions ticks
-    every neighbourhood it tries, whether _children or _leaves drives it,
-    so nodes= counts what a generated level of order n would.  The
-    acceptance rule at order n is still checked, by the generate_graphs
-    class counts."""
+    child (see _extensions).  So every class reaches the leaf step at least
+    once; duplicates cannot change the optimum, and the extremal set is
+    kept by canonical form.  The depth-first preorder meets the classes of
+    order n - 1 in _levels(n - 1) order, each level being its parents'
+    children in parent order, so the leaf step sees the parents in the
+    order, and with the running incumbent, of a generated level.
+    _extensions ticks every neighbourhood it tries, so nodes= counts what a
+    generated level of order n would, and a truncated run stops at tick
+    node_limit + 1.  The acceptance rule at order n is still checked, by
+    the generate_graphs class counts."""
     budget = budget or SearchBudget()
-    n, r, k = params.n, params.r, params.k
-    state = _State(budget.node_limit)
-    exhaustive = True
-    best: int | None = None
-    winners: dict[bytes, Graph] = {}
-    try:
-        for prows, e in (_levels(n - 1, (r, k), state) if n > 1 else ()):
-            for rows, ce in _leaves(prows, e, best, 0, r, k, state):
-                if best is None or ce > best:
-                    best = ce
-                    winners = {}
-                winners[pack_rows(rows)] = Graph(rows)
-    except BudgetExceeded:
-        exhaustive = False
-        best, winners = None, {}
-    extremal = tuple(winners[key] for key in sorted(winners))
-    return ExtremalReport(params=params, method="enumeration", optimum=best,
-                          extremal=extremal, exhaustive=exhaustive,
-                          nodes=state.nodes)
+    n = params.n
+    if n == 1:
+        return _report(params, "enumeration", {}, True, 0)
+    found, nodes, exhaustive = _unit(((0,), 0, n, n, params.r, params.k,
+                                      None, budget.node_limit, False))
+    return _report(params, "enumeration", found if exhaustive else {},
+                   exhaustive, nodes)
 
 
 def _max_free_degree(prows: tuple[int, ...], r: int, k: int) -> int:
@@ -368,7 +351,7 @@ def _max_free_degree(prows: tuple[int, ...], r: int, k: int) -> int:
     in, so the dropped sets are disjoint, and each book survives in any
     extension whose neighbourhood keeps all of its dropped set.  So every
     book-free extension leaves out at least count vertices of P, and
-    M(P) <= j - count.  The cut in _bb_unit needs only an upper bound, so
+    M(P) <= j - count.  The cut in _unit needs only an upper bound, so
     ties still survive.
     """
     j = len(prows)
@@ -389,16 +372,24 @@ def _max_free_degree(prows: tuple[int, ...], r: int, k: int) -> int:
         count += 1
 
 
-def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
-    """Expand one class (a work unit) down to the stop order.
+def _unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
+    """Expand one class (a work unit) depth first down to the stop order.
 
-    Returns the canonical rows the unit reaches at the stop order, in
-    generation order, each with its edge count, together with the unit's
-    node count and whether it finished within the node limit.  Below the
-    target order these are the class's accepted children; at the target
-    order they are the leaves that reach the unit's incumbent.  Each unit
-    starts from the same constructed incumbent and shares nothing, so its
-    result is independent of how units are assigned to workers.
+    args is (rows, e0, stop, n, r, k, inc0, node_limit, prune).  Returns
+    what the unit reaches at the stop order, in generation order, as
+    canonical rows with edge counts: below order n, the class's accepted
+    children; at order n, the leaves that reach the running incumbent,
+    which starts at inc0.  Also returns the node count and whether the unit
+    finished within the node limit.  Units share nothing, so a result does
+    not depend on how units are assigned to workers.  prune is False only
+    for enumerate_extremal's single unit from K1: minpop is then 0 at every
+    order.
+
+    Leaf step, from each parent of order n - 1: stream its extensions and
+    keep each non-r-colorable one that reaches the running incumbent, which
+    rises to it.  Only these winners are canonically labelled; with no
+    acceptance test a class may come more than once, and is kept once under
+    its canonical form.  A truncated unit keeps the leaves it found.
 
     Neighbourhood bound.  A class G of order n is reached through its
     canonical-deletion chain, whose prefix P of order j is an induced
@@ -419,7 +410,7 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     exists.  m <= j, so the bound is never weaker than letting every future
     vertex join all of P.
     """
-    (rows, e0, stop, n, r, k, inc0, node_limit) = args
+    (rows, e0, stop, n, r, k, inc0, node_limit, prune) = args
     state = _State(node_limit)
     local_inc: int | None = inc0
     found: dict[tuple[int, ...], int] = {}
@@ -428,9 +419,10 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     def dfs(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
         j = len(prows)
+        bound = prune and local_inc is not None
         if j < n - 1:
             minpop = 0
-            if local_inc is not None:
+            if bound:
                 rest = n - j - 1
                 minpop = (local_inc - e
                           - rest * (_max_free_degree(prows, r, k) + 1)
@@ -441,10 +433,15 @@ def _bb_unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
                 else:
                     found[crows] = e + t
             return
-        minpop = 0 if local_inc is None else local_inc - e
-        for crows, ce in _leaves(prows, e, local_inc, minpop, r, k, state):
+        for crows, t in _extensions(prows, local_inc - e if bound else 0,
+                                    (r, k), state):
+            ce = e + t
+            if local_inc is not None and ce < local_inc:
+                continue
+            if is_r_colorable(Graph(crows), r) is not None:
+                continue
             local_inc = ce
-            found[crows] = ce
+            found[canon_rows(crows)[0]] = ce
 
     assert len(rows) < stop <= n, "a work unit grows its class"
     try:
@@ -465,19 +462,20 @@ def branch_bound_extremal(params: CaseParams,
     m + 1 vertices of the child, m being the disjoint-book upper bound on
     the largest book-free one-vertex extension degree of the parent P and
     the +1 the child's own new vertex, and the undecided vertices span at
-    most the Turán number of K_{r+k} among themselves (see _bb_unit for the
+    most the Turán number of K_{r+k} among themselves (see _unit for the
     soundness argument); (ii) book containment is checked incrementally on
     each added vertex; (iii) the incumbent starts from the constructed
     families, giving a certified lower bound.  Ties with the incumbent are
     never pruned, so the full extremal set survives.  enumerate_extremal
-    walks the same tree unpruned and is the reference these rules are
-    tested against.
+    runs the same walk, _unit, as one unit without the bound, and is the
+    reference these rules are tested against.
 
-    Every class is a work unit: each class of order below the split depth
-    is expanded by one order, and each class at the split depth is searched
-    to order n.  Units run in a pool of budget.workers processes, capped at
-    the CPUs this process may use, when that leaves more than one; each
-    order's results are concatenated in parent order.
+    Every class is a work unit, run by _unit with prune=True: each class of
+    order below the split depth is expanded by one order, and each class at
+    the split depth is searched to order n.  Units run in a pool of
+    budget.workers processes, capped at the CPUs this process may use, when
+    that leaves more than one; each order's results are concatenated in
+    parent order.
     """
     budget = budget or SearchBudget()
     n, r, k = params.n, params.r, params.k
@@ -489,8 +487,7 @@ def branch_bound_extremal(params: CaseParams,
     inc0 = max((g.edge_count() for g in seeds), default=None)
 
     if n <= r:  # every graph this small is r-colorable: nothing is feasible
-        return ExtremalReport(params=params, method="branch_bound", optimum=None,
-                              extremal=(), exhaustive=True, nodes=0)
+        return _report(params, "branch_bound", {}, True, 0)
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -501,23 +498,19 @@ def branch_bound_extremal(params: CaseParams,
     with (get_context("fork").Pool(processes=workers)
           if workers > 1 else nullcontext()) as pool:
         for stop in [*range(2, depth + 1), n]:
-            unit_args = [(rows, e, stop, n, r, k, inc0, budget.node_limit)
-                         for rows, e in level]
+            unit_args = [(rows, e, stop, n, r, k, inc0, budget.node_limit,
+                          True) for rows, e in level]
             if pool is not None and len(unit_args) > 1:
-                results = pool.map(_bb_unit, unit_args)
+                results = pool.map(_unit, unit_args)
             else:
-                results = [_bb_unit(a) for a in unit_args]
+                results = [_unit(a) for a in unit_args]
             nodes += sum(res[1] for res in results)
             exhaustive = exhaustive and all(res[2] for res in results)
             level = [item for res in results for item in res[0].items()]
 
     candidates = {g.rows: g.edge_count() for g in seeds}
     candidates.update(level)
-    best = max(candidates.values(), default=None)
-    extremal = tuple(Graph(rows) for rows in sorted(
-        (rows for rows, e in candidates.items() if e == best), key=pack_rows))
-    return ExtremalReport(params=params, method="branch_bound", optimum=best,
-                          extremal=extremal, exhaustive=exhaustive, nodes=nodes)
+    return _report(params, "branch_bound", candidates, exhaustive, nodes)
 
 
 @cache

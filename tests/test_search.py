@@ -150,11 +150,13 @@ def _enumerate_labelling_every_class(params, node_limit):
 
 def test_leaf_step_matches_labelling_every_class():
     # the leaf step labels only the winners of the last order; the report,
-    # nodes= included, and the extremal graph6 lines must not move
+    # nodes= included, and the extremal graph6 lines must not move.  At
+    # n = 8 a limit of 5,000 cuts inside the last order: at (8,3,1) the
+    # orders below it take 1,541 nodes
     for n in range(1, 9):
         for r in (3, 4):
             for k in (1, 2, 3):
-                for node_limit in (None, 50):
+                for node_limit in (None, 50, 5000):
                     params = CaseParams(n, r, k)
                     want = _enumerate_labelling_every_class(params, node_limit)
                     got = enumerate_extremal(params,
@@ -163,6 +165,30 @@ def test_leaf_step_matches_labelling_every_class():
                         n, r, k, node_limit)
                     assert [encode_graph6(g) for g in got.extremal] == [
                         encode_graph6(g) for g in want.extremal]
+
+
+def test_enumerate_walks_last_order_parents_in_level_order(monkeypatch):
+    # enumeration walks depth first; its leaf step must meet the classes of
+    # order n - 1 in the order of a generated level, with minpop 0, so that
+    # the running incumbent, the extremal set and nodes= are those of a
+    # leaf step over _levels(n - 1)
+    extensions = search._extensions
+    seen = []
+
+    def recorded(prows, minpop, book, state):
+        assert minpop == 0
+        if len(prows) == n - 1:
+            seen.append(prows)
+        return extensions(prows, minpop, book, state)
+
+    monkeypatch.setattr(search, "_extensions", recorded)
+    for n in range(2, 9):
+        for r in (3, 4):
+            for k in (1, 2, 3):
+                seen.clear()
+                enumerate_extremal(CaseParams(n, r, k))
+                level = _levels(n - 1, (r, k), _State(None))
+                assert seen == [rows for rows, _ in level], (n, r, k)
 
 
 def test_enumerate_labels_only_the_winners(monkeypatch):
@@ -213,8 +239,8 @@ def test_bb_agrees_with_enumeration():
 
 def test_bb_pruning_soundness():
     # the neighbourhood bound must not change any report content; enumeration
-    # walks the same tree with no prune and shares the leaf step _leaves, so
-    # it is the unpruned reference
+    # is one unit of the same walk, _unit, with no prune, leaf step included,
+    # so it is the unpruned reference
     for n in (6, 7):
         for k in (1, 2):
             params = CaseParams(n, 3, k)
