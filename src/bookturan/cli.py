@@ -19,7 +19,7 @@ from .checkers import contains_generalized_book, is_r_colorable
 from .constructions import (c5_blowup, family_c5_1, family_c5_2, family_c5_3,
                             family_g1, family_g2, family_g3, generalized_book,
                             near_complete_ks, turan_graph)
-from .formulas import CaseParams, ex_nonpartite_value, extremal_case
+from .formulas import MODES, CaseParams, ex_nonpartite_value, extremal_case
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .search import SearchBudget, branch_bound_extremal, enumerate_extremal, \
     verify_theorem
@@ -70,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--r", type=int, required=True)
     e.add_argument("--k", type=int, default=1)
-    e.add_argument("--mode", choices=["theorem1", "theorem14"],
-                   default="theorem1")
+    e.add_argument("--mode", choices=MODES, default="theorem1")
 
     k = sub.add_parser("check", help="decide the candidacy predicate per graph")
     k.add_argument("--input", required=True, help="graph6 file, one graph per line")
@@ -98,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--n-from", type=int, required=True)
     v.add_argument("--n-to", type=int, required=True)
-    v.add_argument("--mode", choices=["theorem1", "theorem14"],
-                   default="theorem1")
+    v.add_argument("--mode", choices=MODES, default="theorem1")
     v.add_argument("--strict", action="store_true",
                    help="exit 1 if any row records DISAGREE")
     return parser

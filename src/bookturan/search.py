@@ -27,7 +27,7 @@ parent again (see _extensions and _children).  Permuting the twins of the
 parent is an automorphism, so two neighbourhoods that differ only by such
 a swap give isomorphic children, and only the one that takes a label-order
 prefix of each twin class, the lexicographically first of its orbit, is
-tried.  Each class still enters at its first passing extension, so this
+built.  Each class still enters at its first passing extension, so this
 changes the node count only.  Book-freeness is kept one vertex at a time:
 a book-free parent gains a book only through the new vertex, so only
 r-cliques inside its closed neighbourhood are tested, with the same clique
@@ -60,7 +60,6 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from multiprocessing import get_context
 
 from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
@@ -77,7 +76,8 @@ class SearchBudget:
     (every class branch-and-bound expands is one); exceeding it flags the
     report as non-exhaustive and never produces a wrong optimum claim.  The
     cut is a node count, never the clock, so truncated reports are
-    deterministic."""
+    deterministic.  Every neighbourhood the walk builds is one node, so the
+    limit bounds the walk."""
 
     node_limit: int | None = None
     workers: int = 1
@@ -175,14 +175,13 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     the spine lies in N(0).  Conversely an r-clique with k common
     neighbours is the spine of a book wherever it lies.
 
-    Twin rule: a neighbourhood S is tried only if it takes a label-order
-    prefix of each twin class of prows (graphs._twin_classes), that is, if S
-    holds all the twins below each of its vertices; along a class this is
-    the same as holding the twin just below each of them.  Sound: permuting
-    the vertices inside a twin class is an automorphism sigma of the parent;
-    extended to fix the new vertex, it maps P + S onto P + sigma(S).  So S
-    and sigma(S) fare alike under the degree rule (twins have equal degree),
-    the book rule, the partition precheck of _children (refinement is
+    Twin rule: only neighbourhoods S that take a label-order prefix of each
+    twin class of prows (graphs._twin_classes) are built, that is, S holds
+    all the twins below each of its vertices.  Sound: permuting the vertices
+    inside a twin class is an automorphism sigma of the parent; extended to
+    fix the new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S)
+    fare alike under the degree rule (twins have equal degree), the book
+    rule, the partition precheck of _children (refinement is
     isomorphism-invariant) and, at the leaf step of _unit, the edge bound
     and colorability, and give one canonical form.  The prefix form comes
     first among the sets of its orbit in the order tried: all have the same
@@ -192,16 +191,14 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     same classes in the same order (its incumbent only rises, so where S
     passes, its prefix form passed earlier).  Only the node count changes.
     Twins have equal degree, so the forced neighbours and the candidates
-    each hold whole twin classes, and the prefix test looks at the chosen
-    candidates only.  While the candidates are no more than the neighbours
-    still to choose, the only choice takes every class whole: the classes
-    are found at the first t with a real choice, and a parent without twins
-    takes every combination unchecked.
+    each hold whole twin classes; _prefix_combinations builds the prefix
+    forms among the candidates, in combinations order.  The classes are
+    found at the first t where the candidates outnumber the neighbours
+    still to choose; before it, the one choice takes every class whole.
     """
     n = len(prows)
     degs = [row.bit_count() for row in prows]
     below: list[int] | None = None  # the mask of u's twins below u
-    twins = False
     for t in range(min(degs) + 1, max(minpop, 0) - 1, -1):
         forced = tuple(u for u in range(n) if degs[u] == t - 1)
         pick = t - len(forced)
@@ -209,22 +206,32 @@ def _extensions(prows: tuple[int, ...], minpop: int,
             continue
         free = [u for u in range(n) if degs[u] >= t]
         if below is None and len(free) > pick:
-            below = [c & (1 << u) - 1
-                     for u, c in enumerate(_twin_classes(prows))]
-            twins = any(below)
-        for comb in combinations(free, pick):
-            if twins:
-                need = mask = 0
-                for u in comb:
-                    need |= below[u]
-                    mask |= 1 << u
-                if need & ~mask:  # a twin below some u is missing
-                    continue
+            below = [c & (1 << u) - 1 for u, c in enumerate(_twin_classes(prows))]
+        for comb in _prefix_combinations(free, pick, below or [0] * n, forced):
             state.tick()
-            crows = _child_rows(prows, forced + comb)
-            if book is None or _book_clique(
-                    crows, *book, crows[0] | 1) is None:
+            crows = _child_rows(prows, comb)
+            if book is None or _book_clique(crows, *book, crows[0] | 1) is None:
                 yield crows, t
+
+
+def _prefix_combinations(free: list[int], pick: int, below: list[int],
+                         chosen: tuple[int, ...] = (), taken: int = 0
+                         ) -> Iterator[tuple[int, ...]]:
+    """chosen followed by each pick-subset of the ascending list free that
+    holds below[u] with each of its vertices u (a vertex below free counts
+    iff it is in the mask taken), in combinations(free, pick) order.  u is
+    taken only once below[u] is, so no other subset is built."""
+    if pick == 0:
+        yield chosen
+        return
+    for i, u in enumerate(free[:len(free) - pick + 1]):
+        if below[u] & ~taken:  # a twin below u is left out
+            continue
+        if pick == 1:
+            yield chosen + (u,)
+        else:
+            yield from _prefix_combinations(free[i + 1:], pick - 1, below,
+                                            chosen + (u,), taken | 1 << u)
 
 
 def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
@@ -458,17 +465,12 @@ def branch_bound_extremal(params: CaseParams,
     deletion chain, the generator of enumerate_extremal.
 
     Pruning: (i) a child is not built once its edges plus the neighbourhood
-    bound cannot tie the incumbent: each undecided vertex joins at most
-    m + 1 vertices of the child, m being the disjoint-book upper bound on
-    the largest book-free one-vertex extension degree of the parent P and
-    the +1 the child's own new vertex, and the undecided vertices span at
-    most the Turán number of K_{r+k} among themselves (see _unit for the
-    soundness argument); (ii) book containment is checked incrementally on
-    each added vertex; (iii) the incumbent starts from the constructed
-    families, giving a certified lower bound.  Ties with the incumbent are
-    never pruned, so the full extremal set survives.  enumerate_extremal
-    runs the same walk, _unit, as one unit without the bound, and is the
-    reference these rules are tested against.
+    bound of _unit cannot tie the incumbent; (ii) book containment is
+    checked incrementally on each added vertex; (iii) the incumbent starts
+    from the constructed families, giving a certified lower bound.  Ties
+    with the incumbent are never pruned, so the full extremal set survives.
+    enumerate_extremal runs the same walk, _unit, as one unit without the
+    bound, and is the reference these rules are tested against.
 
     Every class is a work unit, run by _unit with prune=True: each class of
     order below the split depth is expanded by one order, and each class at

@@ -2,6 +2,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bookturan import canon as canon_module
 from bookturan import search
@@ -19,6 +20,7 @@ from bookturan.graphs import Graph, empty_graph, join
 from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
                               _children, _levels, _max_free_degree,
+                              _prefix_combinations,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
@@ -94,6 +96,34 @@ def test_twin_rule_changes_only_the_node_count():
                 total += state.nodes
                 reference += tried
     assert total < reference  # the rule did skip neighbourhoods
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_prefix_combinations_are_the_filtered_combinations(data):
+    # the generator against filtering every combination, in order, on random
+    # twin-class partitions of free; a class's labels may interleave with
+    # another's, and pick runs past len(free)
+    free = sorted(data.draw(st.sets(st.integers(0, 11))))
+    pick = data.draw(st.integers(0, len(free) + 1))
+    label = data.draw(st.lists(st.integers(0, 3), min_size=len(free),
+                               max_size=len(free)))
+    below = [0] * 12
+    for u, a in zip(free, label):
+        below[u] = sum(1 << v for v, b in zip(free, label) if b == a and v < u)
+    want = [c for c in combinations(free, pick)
+            if all(not below[u] & ~sum(1 << v for v in c) for u in c)]
+    assert list(_prefix_combinations(free, pick, below)) == want
+    forced = (12, 13)
+    assert list(_prefix_combinations(free, pick, below, forced)) == [
+        forced + c for c in want]
+
+
+def test_prefix_combinations_hand_checked():
+    # classes {2, 5} and {3, 4}: (2, 4) lacks 3, (3, 5) and (4, 5) lack 2
+    below = [0, 0, 0, 0, 1 << 3, 1 << 2]
+    assert list(_prefix_combinations([2, 3, 4, 5], 2, below)) == [
+        (2, 3), (2, 5), (3, 4)]
 
 
 def test_generation_members_are_canonical_and_distinct():
