@@ -34,9 +34,9 @@ r-cliques inside its closed neighbourhood are tested, with the same clique
 walk that decides book containment in checkers.  The acceptance test only
 serves children that are expanded further, so the last order is not
 generated as a level: both engines walk the tree depth first in work units
-(_unit), whose last order streams the extensions of each parent,
-canonically labels only the non-r-colorable ones that reach the running
-incumbent, and deduplicates those by canonical form.  Enumeration is one
+(_unit), whose last order streams the neighbourhoods of each parent,
+builds only the children that reach the running incumbent, canonically
+labels the non-r-colorable ones and deduplicates them.  Enumeration is one
 unpruned unit grown from K1.  Branch-and-bound splits the tree into units
 and bounds what a prefix P can still gain: every later vertex v keeps
 G[P + v] book-free, so it has at most M(P) neighbours in P, where M(P) is
@@ -76,8 +76,8 @@ class SearchBudget:
     (every class branch-and-bound expands is one); exceeding it flags the
     report as non-exhaustive and never produces a wrong optimum claim.  The
     cut is a node count, never the clock, so truncated reports are
-    deterministic.  Every neighbourhood the walk builds is one node, so the
-    limit bounds the walk."""
+    deterministic.  Every neighbourhood the walk generates is one node,
+    whether or not its child is built, so the limit bounds the walk."""
 
     node_limit: int | None = None
     workers: int = 1
@@ -147,12 +147,11 @@ def _child_rows(rows: tuple[int, ...], comb: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _extensions(prows: tuple[int, ...], minpop: int,
-                book: tuple[int, int] | None,
                 state: _State) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Book-free one-vertex extensions of prows, as (child rows, degree t of
+    """One-vertex extensions of prows, as (neighbourhood comb, degree t of
     the new vertex), by descending t >= minpop and then lexicographic
-    neighbourhood.  The new vertex takes label 0 (see _child_rows).  Every
-    neighbourhood tried costs one state tick.
+    neighbourhood.  Every neighbourhood generated costs one state tick;
+    _free_child builds its child, if the caller needs it.
 
     Degree rule: only neighbourhoods that leave the new vertex at minimum
     degree in the child are tried, i.e. t <= min degree of prows + 1, every
@@ -168,15 +167,8 @@ def _extensions(prows: tuple[int, ...], minpop: int,
     leaf step and the minpop edge bound of _unit follow the same
     canonical-deletion chain, so they keep every class they kept.
 
-    Book rule: a child is kept iff no r-clique inside the closed
-    neighbourhood N[0] of the new vertex 0 has k common neighbours.  The
-    parent is book-free, so every book of the child uses vertex 0: as a
-    spine vertex, and then the spine lies in N[0], or as a page, and then
-    the spine lies in N(0).  Conversely an r-clique with k common
-    neighbours is the spine of a book wherever it lies.
-
     Twin rule: only neighbourhoods S that take a label-order prefix of each
-    twin class of prows (graphs._twin_classes) are built, that is, S holds
+    twin class of prows (graphs._twin_classes) are tried, that is, S holds
     all the twins below each of its vertices.  Sound: permuting the vertices
     inside a twin class is an automorphism sigma of the parent; extended to
     fix the new vertex, it maps P + S onto P + sigma(S).  So S and sigma(S)
@@ -209,9 +201,7 @@ def _extensions(prows: tuple[int, ...], minpop: int,
             below = [c & (1 << u) - 1 for u, c in enumerate(_twin_classes(prows))]
         for comb in _prefix_combinations(free, pick, below or [0] * n, forced):
             state.tick()
-            crows = _child_rows(prows, comb)
-            if book is None or _book_clique(crows, *book, crows[0] | 1) is None:
-                yield crows, t
+            yield comb, t
 
 
 def _prefix_combinations(free: list[int], pick: int, below: list[int],
@@ -232,6 +222,24 @@ def _prefix_combinations(free: list[int], pick: int, below: list[int],
         else:
             yield from _prefix_combinations(free[i + 1:], pick - 1, below,
                                             chosen + (u,), taken | 1 << u)
+
+
+def _free_child(prows: tuple[int, ...], comb: tuple[int, ...],
+                book: tuple[int, int] | None) -> tuple[int, ...] | None:
+    """The child _child_rows(prows, comb) of the book-free prows, or None if
+    it contains the book (r, k); every child is kept when book is None.
+
+    Book rule: a child is kept iff no r-clique inside the closed
+    neighbourhood N[0] of the new vertex 0 has k common neighbours.  The
+    parent is book-free, so every book of the child uses vertex 0: as a
+    spine vertex, and then the spine lies in N[0], or as a page, and then
+    the spine lies in N(0).  Conversely an r-clique with k common
+    neighbours is the spine of a book wherever it lies.
+    """
+    crows = _child_rows(prows, comb)
+    if book is None or _book_clique(crows, *book, crows[0] | 1) is None:
+        return crows
+    return None
 
 
 def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
@@ -257,8 +265,9 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     """
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
-    for crows, t in _extensions(prows, minpop, book, state):
-        root = canon(crows, 0)
+    for comb, t in _extensions(prows, minpop, state):
+        crows = _free_child(prows, comb, book)
+        root = None if crows is None else canon(crows, 0)
         if root is None:
             continue
         ckey, perm = canon_rows(crows, root)
@@ -329,10 +338,10 @@ def enumerate_extremal(params: CaseParams,
     order n - 1 in _levels(n - 1) order, each level being its parents'
     children in parent order, so the leaf step sees the parents in the
     order, and with the running incumbent, of a generated level.
-    _extensions ticks every neighbourhood it tries, so nodes= counts what a
-    generated level of order n would, and a truncated run stops at tick
-    node_limit + 1.  The acceptance rule at order n is still checked, by
-    the generate_graphs class counts."""
+    Every generated neighbourhood is ticked, whether or not its child is
+    built, so nodes= counts what a generated level of order n would, and a
+    truncated run stops at tick node_limit + 1.  The acceptance rule at
+    order n is still checked, by the generate_graphs class counts."""
     budget = budget or SearchBudget()
     n = params.n
     if n == 1:
@@ -392,11 +401,15 @@ def _unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     for enumerate_extremal's single unit from K1: minpop is then 0 at every
     order.
 
-    Leaf step, from each parent of order n - 1: stream its extensions and
-    keep each non-r-colorable one that reaches the running incumbent, which
-    rises to it.  Only these winners are canonically labelled; with no
-    acceptance test a class may come more than once, and is kept once under
-    its canonical form.  A truncated unit keeps the leaves it found.
+    Leaf step, from each parent of order n - 1: stream its neighbourhoods
+    and keep each child that reaches the running incumbent, is book-free
+    and is not r-colorable; the incumbent rises to it.  The edge count is
+    tested before _free_child builds the child and walks it for a book.
+    Sound: the incumbent only rises, so a child below it is dropped either
+    way, and the ticks, in _extensions, do not move.  Only the winners are
+    canonically labelled; with no acceptance test a class may come more
+    than once, and is kept once under its canonical form.  A truncated unit
+    keeps the leaves it found.
 
     Neighbourhood bound.  A class G of order n is reached through its
     canonical-deletion chain, whose prefix P of order j is an induced
@@ -440,12 +453,12 @@ def _unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
                 else:
                     found[crows] = e + t
             return
-        for crows, t in _extensions(prows, local_inc - e if bound else 0,
-                                    (r, k), state):
+        for comb, t in _extensions(prows, local_inc - e if bound else 0, state):
             ce = e + t
             if local_inc is not None and ce < local_inc:
                 continue
-            if is_r_colorable(Graph(crows), r) is not None:
+            crows = _free_child(prows, comb, (r, k))
+            if crows is None or is_r_colorable(Graph(crows), r) is not None:
                 continue
             local_inc = ce
             found[canon_rows(crows)[0]] = ce

@@ -205,11 +205,11 @@ def test_enumerate_walks_last_order_parents_in_level_order(monkeypatch):
     extensions = search._extensions
     seen = []
 
-    def recorded(prows, minpop, book, state):
+    def recorded(prows, minpop, state):
         assert minpop == 0
         if len(prows) == n - 1:
             seen.append(prows)
-        return extensions(prows, minpop, book, state)
+        return extensions(prows, minpop, state)
 
     monkeypatch.setattr(search, "_extensions", recorded)
     for n in range(2, 9):
@@ -240,6 +240,52 @@ def test_enumerate_labels_only_the_winners(monkeypatch):
     rep = enumerate_extremal(CaseParams(8, 3, 1))
     assert rep.optimum == 20 and rep.exhaustive
     assert 0 < calls["canon"] <= calls["uncolorable"]
+
+
+def test_leaf_step_walks_only_children_that_reach_the_incumbent(monkeypatch):
+    # the leaf step tests the edge count before it builds a child, so the
+    # book walk never sees an order-n child below the running incumbent;
+    # with the walk first, (8,3,1) walked 12,493 order-8 children
+    book_clique = search._book_clique
+    for params in (CaseParams(8, 3, 1), CaseParams(8, 3, 2)):
+        incumbent, walks = [0], [0]
+
+        def recorded(rows, *args):
+            if len(rows) == params.n:
+                walks[0] += 1
+                assert Graph(rows).edge_count() >= incumbent[0]
+            return book_clique(rows, *args)
+
+        def colorable(g, r):
+            witness = is_r_colorable(g, r)
+            if g.order == params.n and witness is None:
+                incumbent[0] = g.edge_count()
+            return witness
+
+        monkeypatch.setattr(search, "_book_clique", recorded)
+        monkeypatch.setattr(search, "is_r_colorable", colorable)
+        rep = enumerate_extremal(params)
+        assert rep.exhaustive and rep.optimum == 20
+        assert 0 < walks[0] < 100, (params, walks[0])
+
+
+def test_enumerate_truncation_inside_the_leaf_step_is_pinned():
+    # limits that cut inside the last order: neighbourhoods whose child is
+    # never built still tick, in the same order, so the cut lands on the
+    # same node (14,034 and 18,683 nodes are the full runs)
+    lines = [enumerate_extremal(CaseParams(8, 3, k),
+                                SearchBudget(node_limit=limit)).format_line()
+             for k, limit in ((1, 2000), (1, 14033), (1, 14034), (2, 18682))]
+    assert lines == [
+        "n=8 r=3 k=1 q=2 p=2 method=enumeration optimum=none classes=0"
+        " nodes=2001 exhaustive=false",
+        "n=8 r=3 k=1 q=2 p=2 method=enumeration optimum=none classes=0"
+        " nodes=14034 exhaustive=false",
+        "n=8 r=3 k=1 q=2 p=2 method=enumeration optimum=20 classes=1"
+        " nodes=14034 exhaustive=true",
+        "n=8 r=3 k=2 q=2 p=2 method=enumeration optimum=none classes=0"
+        " nodes=18683 exhaustive=false",
+    ]
 
 
 def test_enumerate_budget_truncation_is_honest():
