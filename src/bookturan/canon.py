@@ -33,6 +33,14 @@ complete graph on n vertices costs one refinement, not n.  A leaf relabels
 each distinct adjacency row once and reuses the result for every vertex with
 that row, so a blow-up with a handful of twin classes pays a handful of
 relabellings per leaf, not one per vertex.
+
+A graph with few twin classes is compared more cheaply through its twin
+quotient (_twin_form): one vertex per class, coloured by the class's size
+and by whether it is a clique, and labelled from the partition into colour
+cells.  Vertex-coloured canonical labelling of this kind is standard
+(McKay & Piperno, J. Symb. Comput. 60, 2014).  verify compares extremal
+classes this way, so a blow-up join of any order costs a labelling of at
+most a handful of vertices.
 """
 
 from __future__ import annotations
@@ -217,9 +225,64 @@ def canon_rows(rows: tuple[int, ...], root: Cells | None = None
     """Return (canonical adjacency rows, permutation old-label -> new-label).
 
     root, when given, is canon's refined root partition of these rows; it
-    saves refining them again and changes nothing in the result.
+    saves refining them again and changes nothing in the result.  It may
+    also be the equitable refinement of an ordered partition of the
+    vertices into colour cells, sorted by colour: the result is then a
+    canonical form of the vertex-coloured graph, because refinement is
+    equivariant and cells only split in place, so every leaf gives each
+    colour the same positions.  The twin shortcut and the first-path jump-back of _label
+    stay sound under such a root, because both only use automorphisms that
+    preserve the ordered root partition, hence the colours: the twin swaps
+    stay inside one cell, and a jump-back's automorphism maps the vertex at
+    each position of one leaf to the vertex at that position of another,
+    which lies in the same root cell.
     """
     return _label(rows, canon(rows, -1) if root is None else root)
+
+
+def _twin_form(rows: tuple[int, ...]
+               ) -> tuple[tuple[tuple[int, bool], ...], tuple[int, ...]]:
+    """Isomorphism key of rows built from its coloured twin quotient:
+    (sorted class colours, canonical quotient rows).
+
+    The quotient has one vertex per twin class (graphs._twin_classes), in
+    order of the classes' lowest vertices, coloured by (class size, whether
+    the class is a clique).  It is labelled by canon_rows from the equitable
+    refinement of its colour cells, sorted by colour, so the colour at each
+    canonical position is read off the sorted colours.
+
+    Sound: two graphs get equal keys iff they are isomorphic.
+    - Twin classes are isomorphism-invariant: the relation is defined by
+      neighbourhoods alone, so an isomorphism maps classes onto classes,
+      keeping their sizes, and the quotients are isomorphic as coloured
+      graphs.
+    - Each class is independent or a clique (see _twin_classes), which the
+      colour records.
+    - Between two classes every edge is present or none is: a twin a' of a
+      has a's neighbours outside {a, a'}, so a vertex b of another class
+      sees a iff it sees a', and chains of twins reach the whole class.
+    - So G is rebuilt, up to isomorphism, from its coloured quotient: blow
+      each quotient vertex up into an independent set or a clique of its
+      size, and join two blown-up classes completely iff their quotient
+      vertices are adjacent.  Isomorphic coloured quotients therefore give
+      isomorphic graphs, and G and G' are isomorphic iff their coloured
+      quotients are.
+    - canon_rows from colour cells is a canonical form of the coloured
+      quotient (see its root argument), so equal keys certify isomorphism
+      and distinct keys refute it.
+    """
+    classes = list(dict.fromkeys(_twin_classes(rows)))
+    # one member's row per class: it sees all of another class or none
+    member_rows = [rows[(c & -c).bit_length() - 1] for c in classes]
+    colours = [(c.bit_count(), bool(row & c))
+               for c, row in zip(classes, member_rows)]
+    qrows = tuple(_mask_of([j for j, d in enumerate(classes)
+                            if d != c and row & d])
+                  for c, row in zip(classes, member_rows))
+    cells = [[i for i, col in enumerate(colours) if col == want]
+             for want in sorted(set(colours))]
+    root = _refine(qrows, cells, deque(_mask_of(cell) for cell in cells))
+    return tuple(sorted(colours)), canon_rows(qrows, root)[0]
 
 
 def pack_rows(rows: tuple[int, ...]) -> bytes:

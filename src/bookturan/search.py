@@ -62,7 +62,8 @@ from dataclasses import dataclass
 from functools import cache
 from multiprocessing import get_context
 
-from .canon import canon, canon_rows, dedup_by_isomorphism, pack_rows
+from .canon import (_twin_form, canon, canon_rows, dedup_by_isomorphism,
+                    pack_rows)
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (_c5_join, _family_specs, _Spec,
                             dihedral_profile, extremal_family_graphs)
@@ -609,7 +610,8 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
 
     The sweep yields each maximizer as a spec (profile, join order), one
     per dihedral class of profile; this report labels each spec's graph
-    once.  verify_theorem runs the same sweep and labels the specs itself.
+    once.  verify_theorem runs the same sweep and keys each spec's graph
+    itself, by its coloured twin quotient (canon._twin_form).
     """
     best, specs = _family_sweep(n, r)
     extremal = tuple(dedup_by_isomorphism([_c5_join(prof, m, r)
@@ -656,13 +658,17 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
     Each row labels each class once.  The family optimizer's sweep and the
     named families both give their members as specs (blow-up profile in
     dihedral normal form, join order); each spec in their union is built
-    and canonically labelled once, and the row compares the two sets of
-    canonical forms, and the oracle's, when it runs, with the named one.
-    Sound: a rotation or reflection of C5 is an automorphism of C5, so
-    normalising a profile only relabels the blow-up, and equal specs build
-    equal graphs.  Sharing a spec shares no logic between the engines:
-    each derives its specs on its own, and canon still decides every
-    comparison between them.
+    and keyed once by canon._twin_form, and the row compares the two sets
+    of keys, and the keys of the oracle's classes, when it runs, with the
+    named one.  Sound: a rotation or reflection of C5 is an automorphism of
+    C5, so normalising a profile only relabels the blow-up, and equal specs
+    build equal graphs.  Sharing a spec shares no logic between the
+    engines: each derives its specs on its own, and canon still decides
+    every comparison between them.  The key is the canonical form of the
+    coloured twin quotient, equal for two graphs iff they are isomorphic
+    (see _twin_form).  A family member C5[profile] v T_{r-2}(m) has at most
+    5 + (r - 2) twin classes, so a row's labelling cost does not grow with
+    n.
     """
     if n_from > n_to:
         raise ValueError("empty verification range")
@@ -677,7 +683,7 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         formula = ex_nonpartite_value(params)
         fam_opt, fam_specs = _family_sweep(n, r)
         named_specs = _family_specs(params, mode)
-        forms = {spec: pack_rows(canon_rows(_c5_join(*spec, r).rows)[0])
+        forms = {spec: _twin_form(_c5_join(*spec, r).rows)
                  for spec in dict.fromkeys(fam_specs + named_specs)}
         fam_canon = frozenset(forms[spec] for spec in fam_specs)
         pred_canon = frozenset(forms[spec] for spec in named_specs)
@@ -688,7 +694,8 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         # r + 1), so its optimum is never None
         rep = enumerate_extremal(params) if n <= 8 else None
         ok = consistent and (rep is None or (
-            rep.optimum == formula and rep.extremal_canon == pred_canon))
+            rep.optimum == formula
+            and {_twin_form(g.rows) for g in rep.extremal} == pred_canon))
         verdict = "AGREE" if ok else "DISAGREE"
 
         records.append(VerifyRecord(

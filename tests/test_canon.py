@@ -6,7 +6,7 @@ from itertools import combinations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from bookturan.canon import (canon, canon_rows, canonical_form,
+from bookturan.canon import (_twin_form, canon, canon_rows, canonical_form,
                              dedup_by_isomorphism, is_isomorphic)
 from bookturan.constructions import (c5_blowup, complete_multipartite,
                                      extremal_family_graphs)
@@ -15,6 +15,7 @@ from bookturan.graphs import (Graph, _twin_classes, empty_graph, from_edges,
                               join, relabel)
 from bookturan.search import generate_graphs
 
+from test_checkers import small_graphs, twin_rich_graphs
 from test_graphs import random_graph
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -86,6 +87,17 @@ def test_exact_class_counts_by_labeled_brute_force():
 def test_order6_classes_by_labeled_brute_force():
     forms = {canonical_form(g) for g in all_labeled_graphs(6)}
     assert len(forms) == 156
+
+
+def test_twin_form_classes_by_labeled_brute_force():
+    # the quotient key splits the labelled graphs of each order <= 5, and
+    # the classes of order 6, exactly as canonical_form does
+    for n, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34)):
+        pairs = {(canonical_form(g), _twin_form(g.rows))
+                 for g in all_labeled_graphs(n)}
+        assert len({form for form, _ in pairs}) == count
+        assert len({key for _, key in pairs}) == len(pairs) == count
+    assert len({_twin_form(g.rows) for g in generate_graphs(6)}) == 156
 
 
 def test_agrees_with_networkx_vf2():
@@ -365,9 +377,50 @@ def join_pairs():
         st.permutations(pp[0]).map(lambda prof: blowup_join(prof, pp[1]))))
 
 
+def blowup(n, edges, sizes, cliques):
+    # each vertex v of the graph (n, edges) becomes a clique or an
+    # independent set of sizes[v] vertices, per cliques; adjacent vertices
+    # become completely joined sets
+    start = [sum(sizes[:v]) for v in range(n)]
+    parts = [range(start[v], start[v] + sizes[v]) for v in range(n)]
+    return from_edges(sum(sizes), [
+        e for v in range(n) if cliques[v] for e in combinations(parts[v], 2)]
+        + [(a, b) for u, v in edges for a in parts[u] for b in parts[v]])
+
+
+HOUSE = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)]
+
+# pairs of one order and one degree sequence whose twin quotients are
+# isomorphic once the class sizes, or the clique flags, are forgotten
+TWIN_LOOKALIKES = [
+    # K3 + P3 and K2 + C4
+    (blowup(3, [(1, 2)], (3, 1, 2), (True, False, False)),
+     blowup(3, [(1, 2)], (2, 2, 2), (True, False, False))),
+    # a house whose roof is a K2 and one floor corner two open twins, and
+    # the house whose roof is the open twins and that corner the K2
+    (blowup(5, HOUSE, (2, 1, 1, 1, 2), (False,) * 4 + (True,)),
+     blowup(5, HOUSE, (2, 1, 1, 1, 2), (True,) + (False,) * 4))]
+
+
 @settings(derandomize=True, database=None, max_examples=5, deadline=None)
 @given(st.data())
 def test_is_isomorphic_agrees_with_networkx_on_lookalikes(data):
-    for g, h in LOOKALIKES + [data.draw(join_pairs())]:
+    # the twin quotient key agrees as well
+    for g, h in LOOKALIKES + TWIN_LOOKALIKES + [data.draw(join_pairs())]:
         h = data.draw(relabelled(h))
-        assert is_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+        iso = is_isomorphic(g, h)
+        assert iso == nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (_twin_form(g.rows) == _twin_form(h.rows)) == iso, g.rows
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_twin_form_agrees_with_canonical_form_on_planted_twins(data):
+    # two plantings on one base graph often share a quotient and differ in
+    # the size or the clique flag of a class; up to 12 vertices
+    base = st.just(data.draw(small_graphs(max_order=7).filter(
+        lambda g: g.order > 0)))
+    g = data.draw(twin_rich_graphs(base))
+    for h in (data.draw(twin_rich_graphs(base)), data.draw(relabelled(g))):
+        assert ((_twin_form(g.rows) == _twin_form(h.rows))
+                == (canonical_form(g) == canonical_form(h))), (g.rows, h.rows)

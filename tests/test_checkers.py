@@ -364,10 +364,12 @@ def assert_twin_rules_change_nothing(g, r, k):
 
 
 @st.composite
-def twin_rich_graphs(draw):
-    # a small graph, then up to five planted twins, each copying the open or
-    # the closed neighbourhood of an earlier vertex, then relabelled
-    g = draw(small_graphs(max_order=7).filter(lambda g: g.order > 0))
+def twin_rich_graphs(draw, bases=small_graphs(max_order=7).filter(
+        lambda g: g.order > 0)):
+    # a small graph drawn from bases, then up to five planted twins, each
+    # copying the open or the closed neighbourhood of an earlier vertex,
+    # then relabelled
+    g = draw(bases)
     rows = list(g.rows)
     for closed in draw(st.lists(st.booleans(), max_size=5)):
         source = draw(st.integers(0, len(rows) - 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bookturan import canon as canon_module
 from bookturan import search
-from bookturan.canon import (canon, canon_rows, canonical_form,
+from bookturan.canon import (_twin_form, canon, canon_rows, canonical_form,
                             dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free, is_r_colorable)
@@ -627,18 +627,26 @@ def test_verify_labels_each_class_once(monkeypatch):
         named = {canonical_form(g) for g in
                  extremal_family_graphs(CaseParams(n, 3, 2), "theorem14")}
         classes[n] = len(fam | named)
+    # verify keys each class by its quotient form, per row (the order of
+    # the rows it is given), and each form labels one quotient
     calls = {}
+    labelled = []
 
-    def counted(rows, root=None):
+    def counted_form(rows):
         calls[len(rows)] = calls.get(len(rows), 0) + 1
+        return _twin_form(rows)
+
+    def counted_canon(rows, root=None):
+        labelled.append(len(rows))
         return canon_rows(rows, root)
 
-    # the name verify labels through, and the one dedup_by_isomorphism uses
-    monkeypatch.setattr(search, "canon_rows", counted)
-    monkeypatch.setattr(canon_module, "canon_rows", counted)
+    # the name verify keys through, and the one _twin_form labels through
+    monkeypatch.setattr(search, "_twin_form", counted_form)
+    monkeypatch.setattr(canon_module, "canon_rows", counted_canon)
     rows = verify_theorem(3, 2, 9, 20, "theorem14")
     assert all(rec.verdict == "AGREE" for rec in rows)
     assert calls == classes
+    assert len(labelled) == sum(classes.values())
 
 
 def test_verify_rejects_bad_input():
