@@ -8,9 +8,11 @@ cross-check each other:
 * branch-and-bound edge maximization over book-free classes, seeded with the
   constructed families as certified incumbents, for moderate orders;
 * an optimizer over blow-up/join family shapes for any order: it sweeps
-  the split and the pentagon blow-up profile exhaustively, and takes the
-  join part as the balanced Turan graph T_{r-2}, the only edge maximizer
-  among complete (r-2)-partite graphs by Turan's theorem.
+  the split and the pentagon blow-up profile exhaustively, skipping only
+  splits and profiles whose edge bound (Mantel's, for the blow-up) is
+  strictly below an attained count, and takes the join part as the
+  balanced Turan graph T_{r-2}, the only edge maximizer among complete
+  (r-2)-partite graphs by Turan's theorem.
 
 Generation uses canonical augmentation (McKay, J. Algorithms 26, 1998)
 along the min-degree deletion chain: a child produced by adding one vertex
@@ -546,20 +548,40 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     the sweep meets a largest-part-first rotation of every maximizer, and
     since those rotations include a global maximizer, only maximizers reach
     the best value.
+
+    Branch and bound, with every maximizer kept.  Here lin = m - 2a - b
+    does not depend on c, and the edge count is
+    a(m - a) + c(b - a) + lin * t - t * t, where c(b - a) <= 0 and the
+    integer parabola lin * t - t * t is at most lin * lin // 4.  So no
+    profile under (a, b, c) beats a(m - a) + lin * lin // 4 + c(b - a),
+    which does not increase with c: the c loop stops once it is below
+    best.  The b loop stays in [1, a], where (m - 2a - b)^2, convex in b,
+    peaks at b = 1 or b = a, so an a whose a(m - a) + max((m - 2a - 1)^2,
+    (m - 3a)^2) // 4 is below best is skipped.  best starts at the edge
+    count x(m - 3 - x) + m - 1 of the profile (x, m - 3 - x, 1, 1, 1),
+    x = (m - 2) // 2, which is feasible, so it never exceeds the maximum.
+    Every prune is strict, so nothing that reaches the maximum is cut, and
+    winners, which starts empty, collects every maximizer as before.
     """
     if m < 5:
         raise ValueError(f"blow-up needs at least 5 vertices, got {m}")
-    best = -1
+    x = (m - 2) // 2
+    best = x * (m - 3 - x) + m - 1
     winners: list[tuple[int, ...]] = []
     for a in range(1, m - 3):
+        top = a * (m - a)
+        if top + max((m - 2 * a - 1) ** 2, (m - 3 * a) ** 2) // 4 < best:
+            continue
         for b in range(1, min(a, m - a - 3) + 1):
+            lin = m - 2 * a - b
             for c in range(1, min(a, m - a - b - 2) + 1):
+                if top + lin * lin // 4 + c * (b - a) < best:
+                    break
                 w = m - a - b - c
                 lo = max(1, w - a)
                 hi = min(w - 1, a)
                 if lo > hi:
                     continue
-                lin = c - a + w
                 const = a * b + b * c + a * w
                 t0 = min(max(lin // 2, lo), hi)
                 for t in (t0, t0 + 1):
@@ -577,16 +599,28 @@ def _blowup_optimum(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _family_sweep(n: int, r: int) -> tuple[int, list[_Spec]]:
     """The family optimizer's sweep: the maximum of e(G1 v G2) and the spec
     (blow-up profile in dihedral normal form, join order n - m) of every
-    maximizer, each spec once.  See family_optimizer."""
+    maximizer, each spec once, in ascending m.  See family_optimizer.
+
+    Splits are bounded by Mantel's theorem: a pentagon blow-up is
+    triangle-free, so e(G1) <= m * m // 4, and split m scores at most
+    m * m // 4 + e(T_{r-2}(n - m)) + m(n - m).  Splits are visited by
+    descending bound, and the first whose bound is below the best total
+    so far ends the sweep, since no later split can reach that total.  The
+    stop is strict, so every split that ties the maximum is scored."""
     if r < 3:
         raise ValueError(f"need r >= 3, got {r}")
     if n < r + 3:
         raise ValueError(f"need n >= r + 3, got n={n}, r={r}")
     splits = range(5, n - (r - 2) + 1)
-    totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
-              + m * (n - m) for m in splits}
-    best = max(totals.values())
-    specs = [(prof, n - m) for m in splits if totals[m] == best
+    rest = {m: turan_edge_count(n - m, r - 2) + m * (n - m) for m in splits}
+    best = -1
+    totals: dict[int, int] = {}
+    for m in sorted(splits, key=lambda m: -(m * m // 4 + rest[m])):
+        if m * m // 4 + rest[m] < best:
+            break
+        totals[m] = _blowup_optimum(m)[0] + rest[m]
+        best = max(best, totals[m])
+    specs = [(prof, n - m) for m in splits if totals.get(m) == best
              for prof in _blowup_optimum(m)[1]]
     return best, specs
 
@@ -600,8 +634,11 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
     report's exhaustive flag stays False: the sweep certifies the optimum
     over the family shape, not over all candidate graphs.
 
-    The split m = |G1| and the blow-up profile are swept exhaustively.  G2
-    is not: by Turan's theorem the balanced T_{r-2}(n - m) is the only edge
+    The split m = |G1| and the blow-up profile are swept exhaustively, by
+    branch and bound: a split, or a run of profiles, is skipped only when
+    an upper bound on its edge count is strictly below a count already
+    attained (see _family_sweep and _blowup_optimum).  G2 is not swept: by
+    Turan's theorem the balanced T_{r-2}(n - m) is the only edge
     maximizer among complete (r-2)-partite graphs on n - m vertices, since
     moving one vertex from a part of size a to a part of size b <= a - 2
     gains a - b - 1 > 0 edges.  So each split scores

@@ -10,7 +10,8 @@ from bookturan.canon import (_twin_form, canon, canon_rows, canonical_form,
                             dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free, is_r_colorable)
-from bookturan.constructions import (c5_blowup, dihedral_profile,
+from bookturan.constructions import (blowup_edge_count, c5_blowup,
+                                     dihedral_profile,
                                      extremal_family_graphs, family_g3,
                                      generalized_book, turan_graph,
                                      turan_part_sizes)
@@ -19,7 +20,8 @@ from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, empty_graph, join
 from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
-                              _children, _levels, _max_free_degree,
+                              _children, _family_sweep, _levels,
+                              _max_free_degree,
                               _prefix_combinations,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
@@ -535,6 +537,70 @@ def test_family_optimizer_matches_joins_of_best_profiles():
                 optimum=best, extremal=tuple(dedup_by_isomorphism(graphs)),
                 exhaustive=False, nodes=0), (n, r)
 
+
+
+def all_splits_sweep(n, r):
+    # the sweep before it was bounded: score every split, keep the best
+    splits = range(5, n - (r - 2) + 1)
+    totals = {m: _blowup_optimum(m)[0] + turan_edge_count(n - m, r - 2)
+              + m * (n - m) for m in splits}
+    best = max(totals.values())
+    return best, [(prof, n - m) for m in splits if totals[m] == best
+                  for prof in _blowup_optimum(m)[1]]
+
+
+def test_family_sweep_bounded_by_mantel_matches_all_splits(monkeypatch):
+    # the same (best, specs) as scoring every split, list order included,
+    # from exactly the splits whose bound m^2 / 4 + e(T_{r-2}(n - m))
+    # + m(n - m) reaches the optimum; 131 of these rows have a split whose
+    # bound equals the optimum, so a lowered bound or a stop at a tie
+    # scores fewer
+    computed = set()
+
+    def counted(m):
+        computed.add(m)
+        return _blowup_optimum(m)
+
+    monkeypatch.setattr(search, "_blowup_optimum", counted)
+    for r in range(3, 7):
+        for n in list(range(r + 3, 81)) + list(range(81, 151, 7)):
+            computed.clear()
+            best, specs = _family_sweep(n, r)
+            assert (best, specs) == all_splits_sweep(n, r), (n, r)
+            assert computed == {
+                m for m in range(5, n - (r - 2) + 1)
+                if m * m // 4 + turan_edge_count(n - m, r - 2) + m * (n - m)
+                >= best}, (n, r)
+
+
+def test_blowup_optimum_lies_between_seed_and_mantel():
+    # a pentagon blow-up is triangle-free, so Mantel's m^2 / 4 bounds it;
+    # the profile (x, m - 3 - x, 1, 1, 1) that seeds the sweep attains
+    # x(m - 3 - x) + m - 1, and the optimum is attained
+    for m in range(5, 201):
+        x = (m - 2) // 2
+        seed = (x, m - 3 - x, 1, 1, 1)
+        assert blowup_edge_count(seed) == x * (m - 3 - x) + m - 1
+        opt, profiles = _blowup_optimum(m)
+        assert blowup_edge_count(seed) <= opt <= m * m // 4, m
+        assert profiles, m
+        assert all(sum(prof) == m and blowup_edge_count(prof) == opt
+                   for prof in profiles), m
+
+
+def test_verify_scores_only_splits_near_the_optimum(monkeypatch):
+    # a deterministic work count: scoring every split would compute the
+    # blow-up optimum up to m = 118 for this range
+    computed = []
+
+    def counted(m):
+        computed.append(m)
+        return _blowup_optimum(m)
+
+    monkeypatch.setattr(search, "_blowup_optimum", counted)
+    rows = verify_theorem(5, 2, 11, 120, "theorem14")
+    assert all(rec.verdict == "AGREE" for rec in rows)
+    assert max(computed) < 60
 
 def test_turan_partition_is_the_only_multipartite_maximizer():
     # family_optimizer takes the join part straight from Turan's theorem;
