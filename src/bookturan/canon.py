@@ -240,7 +240,7 @@ def canon_rows(rows: tuple[int, ...], root: Cells | None = None
     return _label(rows, canon(rows, -1) if root is None else root)
 
 
-def _twin_form(rows: tuple[int, ...]
+def _twin_form(rows: tuple[int, ...], labelled: dict | None = None
                ) -> tuple[tuple[tuple[int, bool], ...], tuple[int, ...]]:
     """Isomorphism key of rows built from its coloured twin quotient:
     (sorted class colours, canonical quotient rows).
@@ -270,6 +270,12 @@ def _twin_form(rows: tuple[int, ...]
     - canon_rows from colour cells is a canonical form of the coloured
       quotient (see its root argument), so equal keys certify isomorphism
       and distinct keys refute it.
+
+    labelled, when given, maps (quotient rows, ordered colour cells) to the
+    labelled quotient rows, and is filled as quotients are labelled, so a
+    caller that keeps one dict labels each distinct coloured quotient once.
+    Reuse changes no key: the labelling is a function of the quotient rows
+    and the root partition, and the root is refined from those cells alone.
     """
     classes = list(dict.fromkeys(_twin_classes(rows)))
     # one member's row per class: it sees all of another class or none
@@ -281,8 +287,12 @@ def _twin_form(rows: tuple[int, ...]
                   for c, row in zip(classes, member_rows))
     cells = [[i for i, col in enumerate(colours) if col == want]
              for want in sorted(set(colours))]
-    root = _refine(qrows, cells, deque(_mask_of(cell) for cell in cells))
-    return tuple(sorted(colours)), canon_rows(qrows, root)[0]
+    key = qrows, tuple(map(tuple, cells))
+    labelled = {} if labelled is None else labelled
+    if key not in labelled:
+        root = _refine(qrows, cells, deque(_mask_of(cell) for cell in cells))
+        labelled[key] = canon_rows(qrows, root)[0]
+    return tuple(sorted(colours)), labelled[key]
 
 
 def pack_rows(rows: tuple[int, ...]) -> bytes:

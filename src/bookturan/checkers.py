@@ -235,7 +235,8 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
             if not c & (1 << v) - 1 or rows[v] & c]
     if len(reps) < len(rows):
         index = {v: i for i, v in enumerate(reps)}
-        sub = tuple(sum(1 << index[u] for u in _bits(rows[v]) if u in index)
+        keep = sum(1 << v for v in reps)
+        sub = tuple(sum(1 << index[u] for u in _bits(rows[v] & keep))
                     for v in reps)
         if _coloring(Graph(sub), r) is None:
             return None

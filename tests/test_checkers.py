@@ -405,3 +405,39 @@ def test_twin_rules_match_unpruned_on_family_members():
                          if not h.has_edge(u, v)]))
                     for x in (g, h, plus):
                         assert_twin_rules_change_nothing(x, r, k)
+
+
+def test_coloring_equals_search_on_whole_graph_at_scale():
+    # is_r_colorable against _coloring on g itself: relabelled pentagon
+    # blow-ups joined with T_{r-2}, of order 20 to 45, with and without one
+    # added edge, and random graphs with many planted open and closed twins
+    rnd = random.Random(2045)
+    graphs = []
+    for n in range(20, 46, 5):
+        for r in (3, 4, 5):
+            m = rnd.randrange(5, n - r + 3)
+            cuts = sorted(rnd.sample(range(1, m), 4))
+            profile = [b - a for a, b in zip([0, *cuts], [*cuts, m])]
+            g = join(c5_blowup(profile), turan_graph(n - m, r - 2))
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            g = relabel(g, perm)
+            plus = add_edge(g, *rnd.choice(
+                [(u, v) for u in range(n) for v in range(u)
+                 if not g.has_edge(u, v)]))
+            graphs += [(g, r), (plus, r)]
+    for _ in range(40):
+        rows = list(random_graph(rnd, rnd.randrange(1, 9), rnd.random()).rows)
+        while len(rows) < 20:
+            source = rnd.randrange(len(rows))
+            row = rows[source] | rnd.randrange(2) << source
+            for u in _bits(row):
+                rows[u] |= 1 << len(rows)
+            rows.append(row)
+        graphs.append((Graph(tuple(rows)), rnd.randrange(2, 6)))
+    for g, r in graphs:
+        g.validate()
+        for s in (r - 1, r, r + 1):
+            c = is_r_colorable(g, s)
+            assert (None if c is None else c.classes) == _coloring(g, s), (
+                g.rows, s)

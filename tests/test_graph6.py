@@ -54,6 +54,77 @@ def test_matches_networkx():
         assert set(back.edges()) == {tuple(e) for e in g.edges()}
 
 
+def reference_decode(line):
+    """Per-bit decoder of a valid header-free graph6 line: the column-major
+    upper triangle read one bit at a time."""
+    vals = [ord(ch) - 63 for ch in line]
+    if vals[0] != 63:
+        n, pos = vals[0], 1
+    else:
+        n, pos = vals[1] << 12 | vals[2] << 6 | vals[3], 4
+    bits = [v >> s & 1 for v in vals[pos:] for s in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return from_edges(n, [e for e, bit in zip(pairs, bits) if bit])
+
+
+def networkx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_decoder_matches_per_bit_reference_and_networkx():
+    # every order of the one-byte order field, across the 62/63 boundary
+    # into the four-byte field, and 129
+    rnd = random.Random(606)
+    for n in [*range(0, 71), 129]:
+        for p in (0.1, 0.5, 0.9):
+            line = nx.to_graph6_bytes(networkx_graph(
+                random_graph(rnd, n, p)), header=False).decode().strip()
+            g = decode_graph6(line)
+            assert g == reference_decode(line), (n, p)
+            back = nx.from_graph6_bytes(line.encode())
+            assert (g.order, set(g.edges())) == (
+                back.number_of_nodes(),
+                {tuple(sorted(e)) for e in back.edges()}), (n, p)
+
+
+def test_encoder_matches_networkx_up_to_130():
+    rnd = random.Random(130)
+    for n in range(131):
+        g = random_graph(rnd, n, rnd.random())
+        assert encode_graph6(g) == nx.to_graph6_bytes(
+            networkx_graph(g), header=False).decode().strip(), n
+
+
+def test_each_padding_bit_alone_is_rejected_at_its_offset():
+    # orders whose last byte carries 5, 3 or 2 padding bits; each padding
+    # bit is set on its own in a valid line
+    rnd = random.Random(7)
+    for n in (2, 3, 5, 8, 11, 14, 70):
+        line = encode_graph6(random_graph(rnd, n))
+        pad = -(n * (n - 1) // 2) % 6
+        assert pad
+        for bit in range(pad):
+            bad = line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1 << bit))
+            for header in ("", ">>graph6<<"):
+                with pytest.raises(Graph6Error, match="padding bit at byte"
+                                   f" offset {len(header) + len(line) - 1}$"):
+                    decode_graph6(header + bad)
+
+
+def test_non_printable_byte_reports_its_offset():
+    line = encode_graph6(random_graph(random.Random(3), 12))
+    for i in range(len(line)):
+        for ch in ("\x00", " ", "\x7f"):
+            bad = line[:i] + ch + line[i + 1:]
+            for header in ("", ">>graph6<<"):
+                with pytest.raises(Graph6Error, match="non-printable graph6"
+                                   f" byte at offset {len(header) + i}$"):
+                    decode_graph6(header + bad)
+
+
 def test_header_and_newline_tolerated():
     k2 = from_edges(2, [(0, 1)])
     assert decode_graph6(">>graph6<<A_") == k2

@@ -17,7 +17,7 @@ from bookturan.constructions import (blowup_edge_count, c5_blowup,
                                      turan_part_sizes)
 from bookturan.formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from bookturan.graph6 import encode_graph6
-from bookturan.graphs import Graph, empty_graph, join
+from bookturan.graphs import Graph, _twin_classes, empty_graph, join
 from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
                               _children, _family_sweep, _levels,
@@ -684,6 +684,21 @@ def test_verify_lines_are_pinned():
         "eddd7868b680c5a2aafb691763230594f80011353e7324718ddd3626471c4428")
 
 
+def quotient_key(rows):
+    """(quotient rows, ordered colour cells) of rows' coloured twin
+    quotient, built as _twin_form describes it: one vertex per twin class
+    in order of lowest vertex, coloured by (size, clique), cells sorted by
+    colour."""
+    classes = list(dict.fromkeys(_twin_classes(rows)))
+    low = [rows[(c & -c).bit_length() - 1] for c in classes]
+    colours = [(c.bit_count(), bool(row & c)) for c, row in zip(classes, low)]
+    qrows = tuple(sum(1 << j for j, d in enumerate(classes)
+                      if d != c and row & d) for c, row in zip(classes, low))
+    cells = tuple(tuple(i for i, col in enumerate(colours) if col == want)
+                  for want in sorted(set(colours)))
+    return qrows, cells
+
+
 def test_verify_labels_each_class_once(monkeypatch):
     # per row, the classes of the family optimizer and of the named
     # families, as the public functions find them
@@ -694,13 +709,16 @@ def test_verify_labels_each_class_once(monkeypatch):
                  extremal_family_graphs(CaseParams(n, 3, 2), "theorem14")}
         classes[n] = len(fam | named)
     # verify keys each class by its quotient form, per row (the order of
-    # the rows it is given), and each form labels one quotient
+    # the rows it is given), and labels each distinct coloured quotient once
+    # in the call
     calls = {}
+    quotients = set()
     labelled = []
 
-    def counted_form(rows):
+    def counted_form(rows, *memo):
         calls[len(rows)] = calls.get(len(rows), 0) + 1
-        return _twin_form(rows)
+        quotients.add(quotient_key(rows))
+        return _twin_form(rows, *memo)
 
     def counted_canon(rows, root=None):
         labelled.append(len(rows))
@@ -712,7 +730,20 @@ def test_verify_labels_each_class_once(monkeypatch):
     rows = verify_theorem(3, 2, 9, 20, "theorem14")
     assert all(rec.verdict == "AGREE" for rec in rows)
     assert calls == classes
-    assert len(labelled) == sum(classes.values())
+    assert len(quotients) == 8
+    assert len(labelled) == len(quotients)
+
+
+def test_verify_carries_no_state_across_calls():
+    # the labelled quotients are kept per call: a call in between, at
+    # another r, changes nothing in a repeated call
+    first = [rec.format_line() for rec in verify_theorem(5, 2, 9, 45,
+                                                         "theorem14")]
+    verify_theorem(3, 2, 9, 20, "theorem14")
+    again = [rec.format_line() for rec in verify_theorem(5, 2, 9, 45,
+                                                         "theorem14")]
+    assert again == first
+    assert len(first) == 37
 
 
 def test_verify_rejects_bad_input():
