@@ -40,7 +40,9 @@ and by whether it is a clique, and labelled from the partition into colour
 cells.  Vertex-coloured canonical labelling of this kind is standard
 (McKay & Piperno, J. Symb. Comput. 60, 2014).  verify compares extremal
 classes this way, so a blow-up join of any order costs a labelling of at
-most a handful of vertices.
+most a handful of vertices; it builds a family member's coloured quotient
+from the member's spec and hands it to _quotient_form, the labelling step
+of _twin_form, without building the graph.
 """
 
 from __future__ import annotations
@@ -271,11 +273,7 @@ def _twin_form(rows: tuple[int, ...], labelled: dict | None = None
       quotient (see its root argument), so equal keys certify isomorphism
       and distinct keys refute it.
 
-    labelled, when given, maps (quotient rows, ordered colour cells) to the
-    labelled quotient rows, and is filled as quotients are labelled, so a
-    caller that keeps one dict labels each distinct coloured quotient once.
-    Reuse changes no key: the labelling is a function of the quotient rows
-    and the root partition, and the root is refined from those cells alone.
+    labelled: see _quotient_form, which builds the key from the quotient.
     """
     classes = list(dict.fromkeys(_twin_classes(rows)))
     # one member's row per class: it sees all of another class or none
@@ -285,6 +283,24 @@ def _twin_form(rows: tuple[int, ...], labelled: dict | None = None
     qrows = tuple(_mask_of([j for j, d in enumerate(classes)
                             if d != c and row & d])
                   for c, row in zip(classes, member_rows))
+    return _quotient_form(qrows, colours, labelled)
+
+
+def _quotient_form(qrows: tuple[int, ...], colours: list[tuple[int, bool]],
+                   labelled: dict | None = None
+                   ) -> tuple[tuple[tuple[int, bool], ...], tuple[int, ...]]:
+    """_twin_form's key of a coloured quotient given as rows, without loops,
+    and one (class size, clique) colour per quotient vertex.  The key
+    depends on the coloured quotient only up to isomorphism, not on the
+    order of its vertices, since canon_rows from colour cells is a
+    canonical form (see canon_rows).
+
+    labelled, when given, maps (quotient rows, ordered colour cells) to the
+    labelled quotient rows, and is filled as quotients are labelled, so a
+    caller that keeps one dict labels each distinct coloured quotient once.
+    Reuse changes no key: the labelling is a function of the quotient rows
+    and the root partition, and the root is refined from those cells alone.
+    """
     cells = [[i for i, col in enumerate(colours) if col == want]
              for want in sorted(set(colours))]
     key = qrows, tuple(map(tuple, cells))

@@ -102,7 +102,7 @@ def _book_clique(rows: tuple[int, ...], r: int, k: int, within: int,
     image of C's, hence as large.  So the dropped vertices start or join no
     success, the walk meets the same first success, and the witness is
     unchanged.  The argument never uses k, so it holds for k = 0 too.
-    contains_generalized_book and contains_clique (k = 0) pass twins.  The
+    _book_witness and contains_clique (k = 0) pass twins.  The
     search's book tests run on graphs of a dozen vertices, where finding
     the classes costs about what they save, and its spine test in
     _max_free_degree starts from a common neighbourhood that twin swaps
@@ -162,9 +162,14 @@ def contains_generalized_book(g: Graph, r: int, k: int) -> BookWitness | None:
         raise ValueError(f"book spine needs r >= 2, got {r}")
     if k < 1:
         raise ValueError(f"book needs k >= 1 pages, got {k}")
-    rows = g.rows
-    found = _book_clique(rows, r, k, (1 << len(rows)) - 1,
-                         twins=_twin_classes(rows))
+    return _book_witness(g, r, k, _twin_classes(g.rows))
+
+
+def _book_witness(g: Graph, r: int, k: int,
+                  twins: list[int]) -> BookWitness | None:
+    """contains_generalized_book for r >= 2 and k >= 1, given g's twin
+    classes, so a caller that also colours g finds them once."""
+    found = _book_clique(g.rows, r, k, (1 << g.order) - 1, twins=twins)
     if found is None:
         return None
     clique, common = found
@@ -229,9 +234,15 @@ def is_r_colorable(g: Graph, r: int) -> ColoringWitness | None:
     """
     if r < 1:
         raise ValueError(f"color count must be >= 1, got {r}")
+    return _r_coloring(g, r, _twin_classes(g.rows))
+
+
+def _r_coloring(g: Graph, r: int, twins: list[int]) -> ColoringWitness | None:
+    """is_r_colorable for r >= 1, given g's twin classes, so a caller that
+    also walks g for a book finds them once."""
     rows = g.rows
     # drop each vertex with a non-adjacent twin below it
-    reps = [v for v, c in enumerate(_twin_classes(rows))
+    reps = [v for v, c in enumerate(twins)
             if not c & (1 << v) - 1 or rows[v] & c]
     if len(reps) < len(rows):
         index = {v: i for i, v in enumerate(reps)}

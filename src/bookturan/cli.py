@@ -15,12 +15,13 @@ import sys
 from contextlib import nullcontext
 
 from .canon import dedup_by_isomorphism
-from .checkers import contains_generalized_book, is_r_colorable
+from .checkers import _book_witness, _r_coloring
 from .constructions import (c5_blowup, family_c5_1, family_c5_2, family_c5_3,
                             family_g1, family_g2, family_g3, generalized_book,
                             near_complete_ks, turan_graph)
 from .formulas import MODES, CaseParams, ex_nonpartite_value, extremal_case
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
+from .graphs import _twin_classes
 from .search import SearchBudget, branch_bound_extremal, enumerate_extremal, \
     verify_theorem
 
@@ -171,8 +172,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             g = decode_graph6(line)
         except Graph6Error as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
-        coloring = is_r_colorable(g, args.r)
-        book = contains_generalized_book(g, args.r, args.k)
+        # one twin-class computation serves both decisions; r and k were
+        # checked above
+        twins = _twin_classes(g.rows)
+        coloring = _r_coloring(g, args.r, twins)
+        book = _book_witness(g, args.r, args.k, twins)
         candidate = coloring is None and book is None
         fields = [f"line={lineno}", f"n={g.order}", f"e={g.edge_count()}",
                   f"r_colorable={str(coloring is not None).lower()}",

@@ -64,11 +64,12 @@ from dataclasses import dataclass
 from functools import cache
 from multiprocessing import get_context
 
-from .canon import (_twin_form, canon, canon_rows, dedup_by_isomorphism,
-                    pack_rows)
+from .canon import (_quotient_form, _twin_form, canon, canon_rows,
+                    dedup_by_isomorphism, pack_rows)
 from .checkers import _book_clique, is_nonpartite_book_free, is_r_colorable
 from .constructions import (_c5_join, _family_specs, _Spec,
-                            dihedral_profile, extremal_family_graphs)
+                            dihedral_profile, extremal_family_graphs,
+                            turan_part_sizes)
 from .formulas import CaseParams, ex_nonpartite_value, turan_edge_count
 from .graphs import Graph, _twin_classes
 
@@ -647,8 +648,9 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
 
     The sweep yields each maximizer as a spec (profile, join order), one
     per dihedral class of profile; this report labels each spec's graph
-    once.  verify_theorem runs the same sweep and keys each spec's graph
-    itself, by its coloured twin quotient (canon._twin_form).
+    once.  verify_theorem runs the same sweep and keys each spec by its
+    coloured twin quotient, built from the spec without the graph
+    (_spec_form).
     """
     best, specs = _family_sweep(n, r)
     extremal = tuple(dedup_by_isomorphism([_c5_join(prof, m, r)
@@ -656,6 +658,64 @@ def family_optimizer(n: int, r: int) -> ExtremalReport:
     return ExtremalReport(params=CaseParams(n, r), method="family_optimizer",
                           optimum=best, extremal=extremal,
                           exhaustive=False, nodes=0)
+
+
+@cache
+def _c5_clique_rows(t: int) -> tuple[int, ...]:
+    """Rows of C5 v K_t: the pentagon on vertices 0..4 in cyclic order, the
+    clique on vertices 5..4+t."""
+    full = (1 << 5 + t) - 1
+    return (tuple(1 << (i - 1) % 5 | 1 << (i + 1) % 5 | full ^ 31
+                  for i in range(5))
+            + tuple(full ^ 1 << v for v in range(5, 5 + t)))
+
+
+def _spec_form(spec: _Spec, r: int, labelled: dict
+               ) -> tuple[tuple[tuple[int, bool], ...], tuple[int, ...]]:
+    """The key _twin_form(_c5_join(*spec, r).rows, labelled), built from the
+    spec (profile, m) without the n-vertex member C5[profile] v T_{r-2}(m).
+
+    Its coloured twin quotient is C5 v K_t, coloured (p_i, False) on the
+    five blow-up parts, (s, False) on each Turan part of size s >= 2, and,
+    if there are s >= 1 singleton Turan parts, (s, s >= 2) on one more
+    vertex.  Sound when every part of the profile is positive, as in every
+    spec of the sweep and of the named families.  Write P_i for blow-up
+    part i (indices mod 5) and J for the join part.
+    - A vertex of P_i has open neighbourhood P_{i-1} + P_{i+1} + J, and
+      {i - 1, i + 1} fixes i, so no two blow-up parts are open twins.
+      Adjacent blow-up vertices lie in P_i and P_{i+1}, and the first sees
+      P_{i-1}, which the closed neighbourhood of the second misses, so no
+      two are closed twins.  Each part is independent with equal
+      neighbourhoods: one open class of size p_i.
+    - No blow-up part is a twin of a join part: a join vertex sees all of
+      the blow-up, while a vertex of P_i misses the nonempty P_{i+2}, in
+      its open and in its closed neighbourhood.
+    - A vertex x of a Turan part S has open neighbourhood V - S and closed
+      neighbourhood V - (S - x).  So a part of size s >= 2 is one open
+      class of size s.  Vertices of two different parts are adjacent, hence
+      not open twins, and closed twins only when S - x and S' - y are
+      equal; they are disjoint, so both parts are singletons.  All the
+      singleton parts form one closed class: a clique when there are s >= 2
+      of them, else the lone vertex, coloured (1, False) as _twin_form
+      colours it.
+    - Blow-up parts are joined iff cyclically consecutive, and each is
+      joined to all of J; the join classes are pairwise joined.  So the
+      quotient is C5 v K_t, t the number of join classes.
+    The vertex order is _twin_form's too, by lowest vertex under _c5_join's
+    labels: the parts in profile order, then the Turan parts, ceilings
+    first, so the singleton class comes last.  The quotient rows and
+    colours are therefore _twin_form's, and so are the key and the entry
+    it reads or writes in labelled.
+    """
+    profile, m = spec
+    sizes = turan_part_sizes(m, r - 2) if m else ()
+    colours = [(p, False) for p in profile] + [(s, False) for s in sizes
+                                               if s > 1]
+    ones = sizes.count(1)
+    if ones:
+        colours.append((ones, ones > 1))
+    return _quotient_form(_c5_clique_rows(len(colours) - 5), colours,
+                          labelled)
 
 
 @dataclass(frozen=True)
@@ -692,24 +752,25 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
     mode's case table covers: n >= 3r (q >= 3) for theorem1 and n >= r + 3
     for theorem14; it is checked before any row is computed.
 
-    Each row labels each class once.  The family optimizer's sweep and the
-    named families both give their members as specs (blow-up profile in
-    dihedral normal form, join order); each spec in their union is built
-    and keyed once by canon._twin_form, and the row compares the two sets
-    of keys, and the keys of the oracle's classes, when it runs, with the
-    named one.  Sound: a rotation or reflection of C5 is an automorphism of
-    C5, so normalising a profile only relabels the blow-up, and equal specs
-    build equal graphs.  Sharing a spec shares no logic between the
-    engines: each derives its specs on its own, and canon still decides
-    every comparison between them.  The key is the canonical form of the
-    coloured twin quotient, equal for two graphs iff they are isomorphic
-    (see _twin_form).  A family member C5[profile] v T_{r-2}(m) has at most
-    5 + (r - 2) twin classes, so a row's labelling cost does not grow with
-    n.  One dict per call, handed to _twin_form, labels each distinct
-    coloured quotient once per call: rows at different n often build the
-    same quotient with other class sizes.  r = 3, 4, 5 over n = 9..45 label
-    50 quotients instead of 767, and r = 5 over n = 101..200 labels 15
-    instead of 4,230.
+    Each row keys each class once, and builds no family member.  The
+    family optimizer's sweep and the named families both give their members
+    as specs (blow-up profile in dihedral normal form, join order); each
+    spec in their union is keyed once by _spec_form, and the row compares
+    the two sets of keys, and the keys of the oracle's classes, when it
+    runs, with the named one.  Sound: a rotation or reflection of C5 is an
+    automorphism of C5, so normalising a profile only relabels the blow-up,
+    and equal specs build equal graphs.  Sharing a spec shares no logic
+    between the engines: each derives its specs on its own, and canon still
+    decides every comparison between them.  The key is the canonical form
+    of the coloured twin quotient, equal for two graphs iff they are
+    isomorphic (see canon._twin_form).  A spec's key is read off the spec,
+    whose member C5[profile] v T_{r-2}(m) has the quotient C5 v K_t with
+    t <= r - 2 (see _spec_form), so a row's cost does not grow with n; the
+    oracle's classes (n <= 8) are keyed by _twin_form from their rows.  One
+    dict per call, handed to both, labels each distinct coloured quotient
+    once per call: rows at different n often give the same quotient with
+    other class sizes.  r = 3, 4, 5 over n = 9..45 label 50 quotients
+    instead of 767, and r = 5 over n = 101..200 labels 15 instead of 4,230.
     """
     if n_from > n_to:
         raise ValueError("empty verification range")
@@ -725,7 +786,7 @@ def verify_theorem(r: int, k: int, n_from: int, n_to: int,
         formula = ex_nonpartite_value(params)
         fam_opt, fam_specs = _family_sweep(n, r)
         named_specs = _family_specs(params, mode)
-        forms = {spec: _twin_form(_c5_join(*spec, r).rows, labelled)
+        forms = {spec: _spec_form(spec, r, labelled)
                  for spec in dict.fromkeys(fam_specs + named_specs)}
         fam_canon = frozenset(forms[spec] for spec in fam_specs)
         pred_canon = frozenset(forms[spec] for spec in named_specs)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import bookturan
+from bookturan import checkers
+from bookturan import cli as cli_module
 from bookturan.checkers import is_nonpartite_book_free
 from bookturan.cli import main
 from bookturan.graph6 import decode_graph6, encode_graph6
@@ -15,7 +17,8 @@ from bookturan.canon import is_isomorphic
 from bookturan.constructions import (c5_blowup, extremal_family_graphs,
                                      generalized_book, turan_graph)
 from bookturan.formulas import CaseParams
-from bookturan.graphs import add_edge, empty_graph, from_edges, join, relabel
+from bookturan.graphs import (_twin_classes, add_edge, empty_graph, from_edges,
+                              join, relabel)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,6 +161,30 @@ def test_check(tmp_path, capsys):
     for p in pages:
         for u in clique:
             assert k5.has_edge(p, u)
+
+
+def test_check_finds_twin_classes_once_per_graph(tmp_path, capsys,
+                                                monkeypatch):
+    # the colouring and the book walk share one twin-class computation
+    orders = []
+
+    def counted(rows):
+        orders.append(len(rows))
+        return _twin_classes(rows)
+
+    def unused(rows):
+        raise AssertionError("a checker found the twin classes again")
+
+    monkeypatch.setattr(cli_module, "_twin_classes", counted)
+    monkeypatch.setattr(checkers, "_twin_classes", unused)
+    graphs = (join(c5_blowup((1, 1, 1, 1, 1)), empty_graph(2)),
+              turan_graph(9, 3), turan_graph(5, 5))
+    path = tmp_path / "in.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    code, out, _ = run_cli(capsys, "check", "--input", str(path),
+                           "--r", "3", "--k", "2", "--witness")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert orders == [7, 9, 5]
 
 
 def test_check_long_cycle(tmp_path, capsys):

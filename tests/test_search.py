@@ -10,7 +10,8 @@ from bookturan.canon import (_twin_form, canon, canon_rows, canonical_form,
                             dedup_by_isomorphism, is_isomorphic, pack_rows)
 from bookturan.checkers import (contains_generalized_book, contains_subgraph,
                                 is_nonpartite_book_free, is_r_colorable)
-from bookturan.constructions import (blowup_edge_count, c5_blowup,
+from bookturan.constructions import (_c5_join, _family_specs,
+                                     blowup_edge_count, c5_blowup,
                                      dihedral_profile,
                                      extremal_family_graphs, family_g3,
                                      generalized_book, turan_graph,
@@ -22,7 +23,7 @@ from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
                               _children, _family_sweep, _levels,
                               _max_free_degree,
-                              _prefix_combinations,
+                              _prefix_combinations, _spec_form,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
@@ -708,30 +709,62 @@ def test_verify_labels_each_class_once(monkeypatch):
         named = {canonical_form(g) for g in
                  extremal_family_graphs(CaseParams(n, 3, 2), "theorem14")}
         classes[n] = len(fam | named)
-    # verify keys each class by its quotient form, per row (the order of
-    # the rows it is given), and labels each distinct coloured quotient once
-    # in the call
+    # verify keys each class by its spec's quotient form, per row (the
+    # order of the rows it is given), never builds a member, and labels
+    # each distinct coloured quotient once in the call
     calls = {}
     quotients = set()
     labelled = []
 
-    def counted_form(rows, *memo):
-        calls[len(rows)] = calls.get(len(rows), 0) + 1
-        quotients.add(quotient_key(rows))
-        return _twin_form(rows, *memo)
+    def counted_form(spec, r, memo):
+        n = sum(spec[0]) + spec[1]
+        calls[n] = calls.get(n, 0) + 1
+        quotients.add(quotient_key(_c5_join(*spec, r).rows))
+        return _spec_form(spec, r, memo)
 
     def counted_canon(rows, root=None):
         labelled.append(len(rows))
         return canon_rows(rows, root)
 
-    # the name verify keys through, and the one _twin_form labels through
-    monkeypatch.setattr(search, "_twin_form", counted_form)
+    def no_member(*args):
+        raise AssertionError("verify built a family member")
+
+    # the names verify keys and builds through, and the one the quotient
+    # form labels through
+    monkeypatch.setattr(search, "_spec_form", counted_form)
+    monkeypatch.setattr(search, "_c5_join", no_member)
     monkeypatch.setattr(canon_module, "canon_rows", counted_canon)
     rows = verify_theorem(3, 2, 9, 20, "theorem14")
     assert all(rec.verdict == "AGREE" for rec in rows)
     assert calls == classes
     assert len(quotients) == 8
     assert len(labelled) == len(quotients)
+
+
+def test_spec_form_is_the_twin_form_of_the_member():
+    # every spec verify keys, in both modes where the case table is
+    # defined: the key, and the labelling it stores, are those of the
+    # built member
+    merged = 0
+    for r in range(3, 9):
+        for n in range(r + 3, 61):
+            params = CaseParams(n, r)
+            specs = (_family_sweep(n, r)[1]
+                     + _family_specs(params, "theorem14"))
+            if n >= 3 * r:  # where theorem1's case table starts
+                specs += _family_specs(params, "theorem1")
+            for spec in dict.fromkeys(specs):
+                from_spec, from_rows = {}, {}
+                key = _spec_form(spec, r, from_spec)
+                assert key == _twin_form(_c5_join(*spec, r).rows, from_rows)
+                assert from_spec == from_rows
+                # only merged singleton Turan parts are a clique class
+                merged += any(clique for _, clique in key[0])
+    # q = 1 rows: T_{r-2}(n - 5) has singleton parts that form one closed
+    # class, as at r = 5, n = 9 (parts 2, 1, 1)
+    assert _spec_form(((1, 1, 1, 1, 1), 4), 5, {})[0] == (
+        (1, False),) * 5 + ((2, False), (2, True))
+    assert merged > 0
 
 
 def test_verify_carries_no_state_across_calls():
