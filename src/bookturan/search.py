@@ -45,7 +45,9 @@ G[P + v] book-free, so it has at most M(P) neighbours in P, where M(P) is
 the largest degree of a book-free one-vertex extension of P.  M(P) is
 bounded from above by packing vertex-disjoint books of P + v, v joined to
 all of P: each one costs v at least one neighbour (see _max_free_degree
-and _unit).
+and _unit).  A child whose own children cannot pass that bound, since
+none has degree above the child's minimum degree plus one, is skipped
+before it is built or labelled (the dead-child rule of _children).
 
 Determinism: traversal order is fixed, every work unit starts from the same
 constructed incumbent and never shares state, and results merge by canonical
@@ -247,12 +249,14 @@ def _free_child(prows: tuple[int, ...], comb: tuple[int, ...],
 
 
 def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
-              state: _State) -> list[tuple[tuple[int, ...], int]]:
+              state: _State, need: int | None = None
+              ) -> list[tuple[tuple[int, ...], int]]:
     """Accepted canonical-augmentation children of one parent class.
 
     prows must be canonically labelled.  Returns (canonical child rows,
     degree of the new vertex); only children whose new vertex carries at
-    least minpop edges are generated.
+    least minpop edges are generated, and, when need is given, only those
+    with 2t + 1 >= need are built.
 
     Partition precheck: an extension whose new vertex 0 leaves the first
     cell of its equitable refinement is rejected before labelling (canon),
@@ -266,10 +270,27 @@ def _children(prows: tuple[int, ...], minpop: int, book: tuple[int, int] | None,
     alone, so skipping other extensions of G loses nothing.  Only the order
     of the accepted children can differ from a search without the
     precheck: each class enters at its first extension that passes.
+
+    Dead-child rule: branch-and-bound passes need, where need - t is the
+    least degree the new vertex of a grandchild through a child of degree t
+    may have (see _unit).  An extension with 2t + 1 < need is skipped after
+    its tick, before it is built, book-walked or labelled.  Sound: the
+    degree rule of _extensions makes the new vertex a minimum-degree vertex
+    of the child, so the child's own extensions have degree at most t + 1,
+    and its window [need - t, t + 1] is empty: the child would tick no node
+    and find nothing.  The incumbent only rises inside a work unit, and a
+    unit that stops below order n never leaves inc0, so the window is still
+    empty when the child would be expanded, in this unit or in its own unit
+    at the split depth.  The test reads only t, the child's minimum degree,
+    so it is isomorphism-invariant: seen loses only classes the rule skips
+    anyway, the list keeps every other child in order, and nodes= does not
+    move.
     """
     out: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
     for comb, t in _extensions(prows, minpop, state):
+        if need is not None and 2 * t + 1 < need:
+            continue
         crows = _free_child(prows, comb, book)
         root = None if crows is None else canon(crows, 0)
         if root is None:
@@ -428,7 +449,12 @@ def _unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     incumbent and is not built.  The cut is strict: a graph with exactly
     local_inc edges meets the bound at every prefix of its chain, so ties
     survive and the extremal set is complete.  At the leaf level no vertex
-    follows, and the bound is t >= local_inc - e.
+    follows, and the bound is t >= local_inc - e.  The same bound one order
+    further, with m replaced by the child's order j + 1, which no
+    _max_free_degree of the child exceeds, gives need: a grandchild's new
+    vertex needs degree at least need - t, and _children skips the children
+    that leave it no degree to take (its dead-child rule); room is the one
+    capacity expression both cuts read.
 
     m is computed once per expanded node, and only once an incumbent
     exists.  m <= j, so the bound is never weaker than letting every future
@@ -440,18 +466,24 @@ def _unit(args) -> tuple[dict[tuple[int, ...], int], int, bool]:
     found: dict[tuple[int, ...], int] = {}
     completed = True
 
+    def room(rest: int, m: int) -> int:
+        # the most edges the last rest vertices can add to a child of a
+        # prefix Q with M(Q) <= m: at most m + 1 neighbours each in the
+        # child, and no K_{r+k} among themselves
+        return rest and rest * (m + 1) + turan_edge_count(
+            rest, min(r + k - 1, rest))
+
     def dfs(prows: tuple[int, ...], e: int) -> None:
         nonlocal local_inc
         j = len(prows)
         bound = prune and local_inc is not None
         if j < n - 1:
-            minpop = 0
+            minpop, need = 0, None
             if bound:
-                rest = n - j - 1
-                minpop = (local_inc - e
-                          - rest * (_max_free_degree(prows, r, k) + 1)
-                          - turan_edge_count(rest, min(r + k - 1, rest)))
-            for crows, t in _children(prows, minpop, (r, k), state):
+                minpop = local_inc - e - room(n - j - 1,
+                                              _max_free_degree(prows, r, k))
+                need = local_inc - e - room(n - j - 2, j + 1)
+            for crows, t in _children(prows, minpop, (r, k), state, need):
                 if j + 1 < stop:
                     dfs(crows, e + t)
                 else:
@@ -482,7 +514,8 @@ def branch_bound_extremal(params: CaseParams,
     deletion chain, the generator of enumerate_extremal.
 
     Pruning: (i) a child is not built once its edges plus the neighbourhood
-    bound of _unit cannot tie the incumbent; (ii) book containment is
+    bound of _unit cannot tie the incumbent, nor once no child of its own
+    could (the dead-child rule of _children); (ii) book containment is
     checked incrementally on each added vertex; (iii) the incumbent starts
     from the constructed families, giving a certified lower bound.  Ties
     with the incumbent are never pruned, so the full extremal set survives.

@@ -347,9 +347,10 @@ def test_search_workers_byte_identical(capsys):
 
 
 def test_search_node_limit_truncates_deterministically(capsys):
-    # each of the 176 classes that branch-and-bound expands is a unit capped
+    # each of the 111 classes that branch-and-bound expands is a unit capped
     # at 100 nodes: all of them run and 4 are cut (complete: nodes=1498,
-    # the largest unit 229)
+    # the largest unit 229); the 65 classes the dead-child rule skips would
+    # each have been a unit of 0 nodes
     outs = set()
     for w in ("1", "2"):
         code, out, _ = run_cli(capsys, "search", "--n", "9", "--r", "3",

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -21,14 +22,15 @@ from bookturan.graph6 import encode_graph6
 from bookturan.graphs import Graph, _twin_classes, empty_graph, join
 from bookturan.search import (BudgetExceeded, ExtremalReport, SearchBudget,
                               _State, _blowup_optimum, _child_rows,
-                              _children, _family_sweep, _levels,
+                              _children, _extensions, _family_sweep, _levels,
                               _max_free_degree,
-                              _prefix_combinations, _spec_form,
+                              _prefix_combinations, _spec_form, _unit,
                               branch_bound_extremal, enumerate_extremal,
                               family_optimizer, generate_graphs,
                               verify_theorem)
 
 from test_canon import all_labeled_graphs
+from test_graphs import random_graph
 
 W7 = join(c5_blowup((1, 1, 1, 1, 1)), empty_graph(2))
 
@@ -350,6 +352,89 @@ def test_max_free_degree_matches_brute_force():
             if len(prows) < 6:
                 for crows, _ in _children(prows, 0, (r, k), _State(None)):
                     assert truth[crows] <= m + 1, (r, k, prows, crows)
+
+
+def test_dead_child_rule_skips_only_children_that_expand_to_nothing(
+        monkeypatch):
+    # random book-free canonical parents, each expanded by one order in a
+    # work unit with a random incumbent.  _children must drop exactly the
+    # children with 2t + 1 < need and keep the others in order, and every
+    # extension the rule skips must give a child whose canonical form,
+    # expanded as _unit's dfs expands it, ticks no node: below the leaf
+    # parents with minpop from _max_free_degree and the Turan cap, at them
+    # with local_inc - e
+    children = search._children
+    calls = []
+
+    def recorded(prows, minpop, book, state, need=None):
+        calls.append((minpop, need))
+        return children(prows, minpop, book, state, need)
+
+    monkeypatch.setattr(search, "_children", recorded)
+    rnd = random.Random(30)
+    skipped = {"inner": 0, "leaf": 0}
+    for _ in range(400):
+        r, k, j = rnd.choice((3, 4)), rnd.randint(1, 3), rnd.randint(2, 7)
+        g = random_graph(rnd, j, rnd.random())
+        if contains_generalized_book(g, r, k) is not None:
+            continue
+        prows, e = canon_rows(g.rows)[0], g.edge_count()
+        n = j + rnd.randint(2, 4)
+        inc = e + rnd.randint(0, j * (n - j) + (n - j) * (n - j - 1) // 2)
+        calls.clear()
+        found, _, completed = _unit((prows, e, j + 1, n, r, k, inc, None,
+                                     True))
+        [(minpop, need)] = calls
+        everything = children(prows, minpop, (r, k), _State(None))
+        kept = [(crows, t) for crows, t in everything if 2 * t + 1 >= need]
+        assert list(found.items()) == [(crows, e + t) for crows, t in kept]
+        assert completed
+        for comb, t in _extensions(prows, minpop, _State(None)):
+            if 2 * t + 1 >= need:
+                continue
+            crows = canon_rows(_child_rows(prows, comb))[0]
+            rest = n - j - 2
+            child_minpop = inc - e - t
+            if rest:
+                child_minpop -= (rest * (_max_free_degree(crows, r, k) + 1)
+                                 + turan_edge_count(rest,
+                                                    min(r + k - 1, rest)))
+            state = _State(None)
+            assert list(_extensions(crows, child_minpop, state)) == []
+            assert state.nodes == 0
+            skipped["inner" if rest else "leaf"] += 1
+    assert min(skipped.values()) > 100, skipped
+
+
+def test_dead_child_rule_changes_no_report(monkeypatch):
+    # branch-and-bound with the look-ahead of _children against the walk
+    # without it (need dropped): every report line, nodes= included, and
+    # every extremal graph6 line must stay, complete or truncated, on one
+    # worker and in a pool of two.  Without the rule the walk is the one
+    # test_bb_deterministic_across_workers holds equal across workers
+    rows = [(n, r, k) for r in (3, 4) for n in range(r + 1, 11)
+            for k in (1, 2, 3)]
+    rows += [(n, 5, k) for n in range(6, 10) for k in (1, 2, 3)]
+    runs = [(CaseParams(*row), limit) for limit in (None, 50, 500)
+            for row in rows if limit is None or row[0] <= 9]
+
+    def reports(workers):
+        out = []
+        for params, limit in runs:
+            rep = branch_bound_extremal(
+                params, SearchBudget(node_limit=limit, workers=workers))
+            out.append((rep.format_line(),
+                         [encode_graph6(g) for g in rep.extremal]))
+        return out
+
+    _report_cpus(monkeypatch, 2)
+    with_rule = [reports(1), reports(2)]
+    children = search._children
+    monkeypatch.setattr(
+        search, "_children", lambda prows, minpop, book, state, need=None:
+        children(prows, minpop, book, state))
+    without_rule = reports(1)
+    assert with_rule == [without_rule, without_rule]
 
 
 def test_bb_incumbent_is_valid_and_certifies_lower_bound():
@@ -819,3 +904,6 @@ def test_report_line_shape():
     assert branch_bound_extremal(CaseParams(10, 3, 2)).format_line() == (
         "n=10 r=3 k=2 q=3 p=1 method=branch_bound optimum=31 classes=2"
         " nodes=5330 exhaustive=true")
+    assert branch_bound_extremal(CaseParams(11, 3, 2)).format_line() == (
+        "n=11 r=3 k=2 q=3 p=2 method=branch_bound optimum=38 classes=1"
+        " nodes=20427 exhaustive=true")
